@@ -14,7 +14,15 @@ Agent 2 is "more risk averse" than agent 1 exactly when all five hold, so
 the per-condition verdicts of a valid pair must agree; the report carries
 a consistency flag for that.  Every verification is at grid resolution
 only: a "holds" verdict certifies the sampled points, not the full
-quantifier.  Failing verdicts always carry a concrete witness tuple.
+quantifier.  Failing verdicts always carry a concrete witness: the first
+grid point, in grid order, that violates the condition beyond the slack.
+
+Each condition is evaluated in one array pass per agent: the premium
+conditions (ii)/(iii) solve every scenario of the grid at once through
+the array kernels of premia, and only the reported witness is built as
+a dict.  The numbers are those of the per-point scalar kernels, bit for
+bit; a grid with a bad point raises what the scalar kernels raise at
+the first such point.
 
 Ties within the comparison slack are reported as holding marginally
 rather than failing, since strict-inequality boundary cases are
@@ -26,20 +34,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import GridError
+from .errors import GridError, RiskPremiaError
 from .evalcore import DecisionMaker
 from .funclib import UtilityFn, WeightingFn
-from .premia import (
-    Scenario,
-    dt_probability_premium_exact,
-    dt_risk_premium_exact,
-    rdu_probability_premium_exact,
-    rdu_risk_premium_exact,
-)
+from .premia import Scenario, _divide, _inverses, _lambda, _mu, _rho, _sigma
 
 # Comparison slacks: grid conditions (i)/(iv)/(v) and premium dominance.
 INDEX_SLACK = 1e-9
@@ -133,22 +135,17 @@ class ComparisonReport:
 def _check_margins(
     condition: str,
     label: str,
-    margins: Sequence[float],
-    witnesses: Sequence[dict],
+    margins: np.ndarray,
+    witness: Callable[[int], dict],
     slack: float,
 ) -> ConditionCheck:
+    """Verdict on a margin array; witness(i) builds the witness of grid
+    index i and runs only for the first index violating beyond slack."""
     if len(margins) == 0:
         raise GridError(f"condition ({condition}) evaluated on an empty grid")
-    worst_idx = int(np.argmin(margins))
-    worst = float(margins[worst_idx])
+    worst = float(margins[np.argmin(margins)])
     holds = worst >= -slack
-    witness = None
-    if not holds:
-        # first point violating beyond slack, for reproducibility
-        for m, w in zip(margins, witnesses):
-            if m < -slack:
-                witness = w
-                break
+    violating = np.flatnonzero(margins < -slack)
     return ConditionCheck(
         condition=condition,
         label=label,
@@ -157,8 +154,31 @@ def _check_margins(
         worst_margin=worst,
         slack=slack,
         n_points=len(margins),
-        witness=witness,
+        witness=witness(int(violating[0])) if not holds and violating.size else None,
     )
+
+
+def _on_grid(compute: Callable, columns: Sequence[np.ndarray]):
+    """compute(*columns) in one array pass over the grid.
+
+    If the pass raises, compute runs again on one point at a time in grid
+    order, so the error is the one the scalar path raises at the first bad
+    point, not whichever check the whole-grid pass reached first.
+    """
+    try:
+        return compute(*columns)
+    except (RiskPremiaError, ZeroDivisionError):
+        for i in range(len(columns[0])):
+            compute(*(c[i : i + 1] for c in columns))
+        raise
+
+
+def _sided(side: str, witness: dict) -> dict:
+    return {"side": side, **witness} if side else witness
+
+
+def _side_label(label: str, side: str) -> str:
+    return f"{label} ({side})" if side else label
 
 
 # ---------------------------------------------------------------------------
@@ -175,16 +195,42 @@ def check_index_dominance(
         raise GridError("empty index-dominance grid")
     idx2 = -np.asarray(f2.d2(grid)) / np.asarray(f2.d1(grid))
     idx1 = -np.asarray(f1.d2(grid)) / np.asarray(f1.d1(grid))
-    margins = idx2 - idx1
-    witnesses = [
-        {"side": side, "point": float(p), "index2": float(a), "index1": float(b)}
-        if side
-        else {"point": float(p), "index2": float(a), "index1": float(b)}
-        for p, a, b in zip(grid, idx2, idx1)
-    ]
     return _check_margins(
-        condition, f"curvature index dominance{' (' + side + ')' if side else ''}",
-        margins, witnesses, INDEX_SLACK,
+        condition,
+        _side_label("curvature index dominance", side),
+        idx2 - idx1,
+        lambda i: _sided(
+            side,
+            {"point": float(grid[i]), "index2": float(idx2[i]), "index1": float(idx1[i])},
+        ),
+        INDEX_SLACK,
+    )
+
+
+def _premium_dominance(
+    agent2, agent1, kernels, names: tuple[str, str], fields: tuple[str, ...], points: list
+) -> tuple[ConditionCheck, ConditionCheck]:
+    """Conditions (ii) and (iii) on one scenario grid: each premium kernel
+    runs once per agent on the whole grid.  points holds one tuple of
+    scenario values per grid point, named by fields in the witness."""
+    columns = [np.array(c, dtype=float) for c in zip(*points)]
+    premia = _on_grid(
+        lambda *cols: [(k(agent2, *cols), k(agent1, *cols)) for k in kernels], columns
+    )
+
+    def check(condition, label, name, values2, values1):
+        def witness(i):
+            return {
+                **dict(zip(fields, points[i])),
+                f"{name}2": float(values2[i]),
+                f"{name}1": float(values1[i]),
+            }
+
+        return _check_margins(condition, label, values2 - values1, witness, PREMIUM_SLACK)
+
+    return (
+        check("ii", "risk premium dominance", names[0], *premia[0]),
+        check("iii", "probability premium dominance", names[1], *premia[1]),
     )
 
 
@@ -196,24 +242,11 @@ def check_premium_dominance_dt(
     """Risk and probability premium dominance over a (p0, eps2) grid."""
     if scenario_grid is None:
         scenario_grid = dt_scenario_grid()
-    scenario_grid = list(scenario_grid)
-    if not scenario_grid:
+    points = [(p0, eps2) for p0, eps2 in scenario_grid]
+    if not points:
         raise GridError("empty dual-theory scenario grid")
-    rho_m, rho_w, lam_m, lam_w = [], [], [], []
-    for p0, eps2 in scenario_grid:
-        r2 = dt_risk_premium_exact(h2, p0, eps2)
-        r1 = dt_risk_premium_exact(h1, p0, eps2)
-        l2 = dt_probability_premium_exact(h2, p0, eps2)
-        l1 = dt_probability_premium_exact(h1, p0, eps2)
-        rho_m.append(r2 - r1)
-        rho_w.append({"p0": p0, "eps2": eps2, "rho2": r2, "rho1": r1})
-        lam_m.append(l2 - l1)
-        lam_w.append({"p0": p0, "eps2": eps2, "lambda2": l2, "lambda1": l1})
-    return (
-        _check_margins("ii", "risk premium dominance", rho_m, rho_w, PREMIUM_SLACK),
-        _check_margins(
-            "iii", "probability premium dominance", lam_m, lam_w, PREMIUM_SLACK
-        ),
+    return _premium_dominance(
+        h2, h1, (_rho, _lambda), ("rho", "lambda"), ("p0", "eps2"), points
     )
 
 
@@ -225,22 +258,19 @@ def check_concave_composition(
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size < 3:
         raise GridError("composition grid needs at least 3 points")
-    g = np.array([f2.value(f1.inverse(t)) for t in t_grid])
+    g = _on_grid(lambda t: f2.value(_inverses(f1, t)), [t_grid])
     second = g[:-2] - 2.0 * g[1:-1] + g[2:]
-    margins = -second  # concavity wants second differences <= slack
-    witnesses = [
-        {"side": side, "t": float(t), "second_diff": float(s)}
-        if side
-        else {"t": float(t), "second_diff": float(s)}
-        for t, s in zip(t_grid[1:-1], second)
-    ]
     return _check_margins(
         condition,
-        f"relative composition concavity{' (' + side + ')' if side else ''}",
-        margins,
-        witnesses,
+        _side_label("relative composition concavity", side),
+        -second,  # concavity wants second differences <= slack
+        lambda i: _sided(side, {"t": float(t_grid[i + 1]), "second_diff": float(second[i])}),
         INDEX_SLACK,
     )
+
+
+def _increment_ratios(f, p, q, r, s) -> np.ndarray:
+    return _divide(f.value(s) - f.value(r), f.value(q) - f.value(p))
 
 
 def check_cross_ratio(
@@ -248,22 +278,24 @@ def check_cross_ratio(
 ) -> ConditionCheck:
     """Increment-ratio dominance: for p < q <= r < s,
     (f2(s)-f2(r))/(f2(q)-f2(p)) <= (f1(s)-f1(r))/(f1(q)-f1(p))."""
-    margins, witnesses = [], []
-    for p, q, r, s in quadruples:
-        lhs = (f2.value(s) - f2.value(r)) / (f2.value(q) - f2.value(p))
-        rhs = (f1.value(s) - f1.value(r)) / (f1.value(q) - f1.value(p))
-        margins.append(rhs - lhs)
-        w = {"p": p, "q": q, "r": r, "s": s, "ratio2": lhs, "ratio1": rhs}
-        if side:
-            w = {"side": side, **w}
-        witnesses.append(w)
-    if not margins:
+    quads = [(p, q, r, s) for p, q, r, s in quadruples]
+    if not quads:
         raise GridError("empty cross-ratio sample")
+    lhs, rhs = _on_grid(
+        lambda *corners: (_increment_ratios(f2, *corners), _increment_ratios(f1, *corners)),
+        [np.array(c, dtype=float) for c in zip(*quads)],
+    )
+
+    def witness(i):
+        p, q, r, s = quads[i]
+        w = {"p": p, "q": q, "r": r, "s": s, "ratio2": float(lhs[i]), "ratio1": float(rhs[i])}
+        return _sided(side, w)
+
     return _check_margins(
         condition,
-        f"cross-ratio dominance{' (' + side + ')' if side else ''}",
-        margins,
-        witnesses,
+        _side_label("cross-ratio dominance", side),
+        rhs - lhs,
+        witness,
         INDEX_SLACK,
     )
 
@@ -421,6 +453,9 @@ def check_theorem1(
     scenario_grid: Sequence[tuple[float, float]] | None = None,
 ) -> ComparisonReport:
     """All five dual-theory equivalence conditions for the pair (h2, h1)."""
+    if scenario_grid is None:
+        scenario_grid = dt_scenario_grid()
+    scenario_grid = list(scenario_grid)
     p_grid = probability_grid(n_points)
     cond_i = check_index_dominance(h2, h1, p_grid)
     cond_ii, cond_iii = check_premium_dominance_dt(h2, h1, scenario_grid)
@@ -435,7 +470,7 @@ def check_theorem1(
         consistent=_consistency(conditions),
         grids={
             "p_points": n_points,
-            "dt_scenarios": len(scenario_grid) if scenario_grid else len(dt_scenario_grid()),
+            "dt_scenarios": len(scenario_grid),
             "quadruples": n_samples,
             "seed": seed,
         },
@@ -470,22 +505,13 @@ def check_theorem2(
     scenario_grid = list(scenario_grid)
     if not scenario_grid:
         raise GridError("empty rank-dependent scenario grid")
-    sig_m, sig_w, mu_m, mu_w = [], [], [], []
-    for sc in scenario_grid:
-        s2 = rdu_risk_premium_exact(dm2, sc)
-        s1 = rdu_risk_premium_exact(dm1, sc)
-        m2 = rdu_probability_premium_exact(dm2, sc)
-        m1 = rdu_probability_premium_exact(dm1, sc)
-        base = {"x0": sc.x0, "p0": sc.p0, "eps1": sc.eps1, "eps2": sc.eps2}
-        sig_m.append(s2 - s1)
-        sig_w.append({**base, "sigma2": s2, "sigma1": s1})
-        mu_m.append(m2 - m1)
-        mu_w.append({**base, "mu2": m2, "mu1": m1})
-    cond_ii = _check_margins(
-        "ii", "risk premium dominance", sig_m, sig_w, PREMIUM_SLACK
-    )
-    cond_iii = _check_margins(
-        "iii", "probability premium dominance", mu_m, mu_w, PREMIUM_SLACK
+    cond_ii, cond_iii = _premium_dominance(
+        dm2,
+        dm1,
+        (_sigma, _mu),
+        ("sigma", "mu"),
+        ("x0", "p0", "eps1", "eps2"),
+        [(sc.x0, sc.p0, sc.eps1, sc.eps2) for sc in scenario_grid],
     )
 
     t_lo = u1.value(wx_lo)

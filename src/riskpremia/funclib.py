@@ -573,8 +573,11 @@ class TkWeighting(WeightingFn):
         return g / p - sp / (g * s)
 
     def _inverse(self, q):
+        # Every iterate lies in the bracket, where _value needs no validation
+        # and is exact at the endpoints.  It runs on a one-element array, as
+        # value() does, because numpy scalar powers can differ in the last bit.
         spec = RootSpec(
-            objective=lambda p: self.value(p) - q,
+            objective=lambda p: float(self._value(np.array([p]))[0]) - q,
             bracket=(0.0, 1.0),
             tol=1e-14,
         )

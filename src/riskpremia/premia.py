@@ -35,6 +35,13 @@ so the identities pi~ = 2 eps1 gamma~, lambda~ = 2 eps2 rho~,
 sigma~ = pi~ + 2 eps1 rho~, mu~ = 2 eps2 gamma~ + lambda~, and
 sigma~ = (eps1/eps2) mu~ hold to rounding; premium_report records the
 realized deltas alongside the exact solutions' residuals.
+
+The exact rho, lambda, sigma and mu have private array forms (_rho,
+_lambda, _sigma, _mu) that solve a whole grid of scenarios in one pass;
+the public scalar kernels run them on a one-point grid.  Forward values
+go through the array path of value() and inverses stay one point at a
+time through the scalar inverse(), so a premium has the same bits at
+every grid size.
 """
 
 from __future__ import annotations
@@ -42,6 +49,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import DegenerateError, DomainError, InfeasibleError, RangeError
 from .evalcore import DecisionMaker
@@ -83,6 +92,34 @@ class Scenario:
 class PremiumPair(NamedTuple):
     exact: float
     approx: float
+
+
+def _at_point(kernel, agent, *point: float) -> float:
+    """Scalar form of an array kernel: the kernel on a one-point grid."""
+    return float(kernel(agent, *(np.array([v], dtype=float) for v in point))[0])
+
+
+def _divide(num, den):
+    """num / den, raising ZeroDivisionError wherever float division would
+    (a spread below rounding width), instead of numpy's inf and warning."""
+    if not np.all(den):
+        raise ZeroDivisionError("float division by zero")
+    return num / den
+
+
+def _inverses(f, targets: np.ndarray) -> np.ndarray:
+    """f.inverse at each target, one point at a time: a vectorized inverse
+    would not reproduce the scalar inverse's bits."""
+    return np.array([f.inverse(t) for t in targets.tolist()])
+
+
+def _check_shift_band(name: str, shift: np.ndarray, eps2: np.ndarray) -> None:
+    bad = np.abs(shift) > eps2 * (1.0 + 1e-9) + 1e-15
+    if bad.any():
+        value = float(shift[int(np.argmax(bad))])
+        raise InfeasibleError(
+            f"{name}={value:g} leaves the admissible shift band [-eps2, eps2]"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -129,21 +166,37 @@ def eu_probability_premium_approx(u: UtilityFn, x0: float, eps1: float) -> float
 # ---------------------------------------------------------------------------
 
 
-def _h_triple(h: WeightingFn, p0: float, eps2: float) -> tuple[float, float, float]:
-    if not 0.0 < p0 < 1.0:
-        raise DomainError(f"p0={p0:g} must lie in (0, 1)")
-    if not 0.0 < eps2 <= min(p0, 1.0 - p0):
-        raise DomainError(
-            f"eps2={eps2:g} must lie in (0, min(p0, 1-p0)] for p0={p0:g}"
-        )
-    return h.value(p0 - eps2), h.value(p0), h.value(p0 + eps2)
+def _check_dt_points(p0: np.ndarray, eps2: np.ndarray) -> None:
+    """Reject the first (p0, eps2) point outside 0 < eps2 <= min(p0, 1-p0);
+    the band is empty, so the point is rejected, whenever p0 is outside (0, 1)."""
+    ok = (0.0 < eps2) & (eps2 <= np.minimum(p0, 1.0 - p0))
+    if ok.all():
+        return
+    i = int(np.argmin(ok))
+    p, e = float(p0[i]), float(eps2[i])
+    if not 0.0 < p < 1.0:
+        raise DomainError(f"p0={p:g} must lie in (0, 1)")
+    raise DomainError(f"eps2={e:g} must lie in (0, min(p0, 1-p0)] for p0={p:g}")
+
+
+def _rho(h: WeightingFn, p0: np.ndarray, eps2: np.ndarray) -> np.ndarray:
+    _check_dt_points(p0, eps2)
+    h_lo, h_mid, h_hi = h.value(p0 - eps2), h.value(p0), h.value(p0 + eps2)
+    return _divide(0.5 * ((h_mid - h_lo) - (h_hi - h_mid)), h_hi - h_lo)
+
+
+def _lambda(h: WeightingFn, p0: np.ndarray, eps2: np.ndarray) -> np.ndarray:
+    _check_dt_points(p0, eps2)
+    lam = p0 - _inverses(h, 0.5 * (h.value(p0 - eps2) + h.value(p0 + eps2)))
+    # monotone h keeps the midpoint inside the band; guarded anyway
+    _check_shift_band("lambda", lam, eps2)
+    return lam
 
 
 def dt_risk_premium_exact(h: WeightingFn, p0: float, eps2: float) -> float:
     """Wealth reduction in the middle state restoring indifference; explicit
     in the three weighting values at p0 and p0 +- eps2."""
-    h_lo, h_mid, h_hi = _h_triple(h, p0, eps2)
-    return 0.5 * ((h_mid - h_lo) - (h_hi - h_mid)) / (h_hi - h_lo)
+    return _at_point(_rho, h, p0, eps2)
 
 
 def dt_risk_premium_approx(h: WeightingFn, p0: float, eps2: float) -> float:
@@ -152,14 +205,7 @@ def dt_risk_premium_approx(h: WeightingFn, p0: float, eps2: float) -> float:
 
 def dt_probability_premium_exact(h: WeightingFn, p0: float, eps2: float) -> float:
     """Probability shift solving 2 h(p0-lambda) = h(p0-eps2) + h(p0+eps2)."""
-    h_lo, _, h_hi = _h_triple(h, p0, eps2)
-    lam = p0 - h.inverse(0.5 * (h_lo + h_hi))
-    if abs(lam) > eps2 * (1.0 + 1e-9) + 1e-15:
-        # monotone h keeps the midpoint inside the band; guarded anyway
-        raise InfeasibleError(
-            f"lambda={lam:g} leaves the admissible shift band [-eps2, eps2]"
-        )
-    return lam
+    return _at_point(_lambda, h, p0, eps2)
 
 
 def dt_probability_premium_approx(h: WeightingFn, p0: float, eps2: float) -> float:
@@ -171,26 +217,49 @@ def dt_probability_premium_approx(h: WeightingFn, p0: float, eps2: float) -> flo
 # ---------------------------------------------------------------------------
 
 
-def _decision_weights(h: WeightingFn, sc: Scenario) -> tuple[float, float, float]:
-    """(w_lo, w_hi, spread): normalized weights on x0 -+ eps1 and the raw
-    weighting spread h(p0+eps2) - h(p0-eps2)."""
-    h_lo = h.value(sc.p0 - sc.eps2)
-    h_mid = h.value(sc.p0)
-    h_hi = h.value(sc.p0 + sc.eps2)
+def _decision_weights(h: WeightingFn, p0, eps2):
+    """(w_lo, w_hi): normalized weights on x0 -+ eps1."""
+    h_lo, h_mid, h_hi = h.value(p0 - eps2), h.value(p0), h.value(p0 + eps2)
     spread = h_hi - h_lo
-    return (h_mid - h_lo) / spread, (h_hi - h_mid) / spread, spread
+    return _divide(h_mid - h_lo, spread), _divide(h_hi - h_mid, spread)
+
+
+def _sigma(dm: DecisionMaker, x0, p0, eps1, eps2) -> np.ndarray:
+    w_lo, w_hi = _decision_weights(dm.weighting, p0, eps2)
+    u = dm.utility
+    mean = w_lo * u.value(x0 - eps1) + w_hi * u.value(x0 + eps1)
+    lo, hi = u.codomain
+    if not ((lo < mean) & (mean < hi)).all():
+        # convex combination of attained values; guarded anyway
+        raise RangeError("decision-weighted utility left the utility range")
+    return x0 - _inverses(u, mean)
+
+
+def _mu(dm: DecisionMaker, x0, p0, eps1, eps2) -> np.ndarray:
+    h, u = dm.weighting, dm.utility
+    h_lo = h.value(p0 - eps2)
+    h_hi = h.value(p0 + eps2)
+    u_lo = u.value(x0 - eps1)
+    u_mid = u.value(x0)
+    u_hi = u.value(x0 + eps1)
+    spread = u_hi - u_lo
+    if not (spread > 0.0).all():
+        raise DegenerateError("utility spread degenerated; cannot solve for mu")
+    target = (h_hi * (u_hi - u_mid) + h_lo * (u_mid - u_lo)) / spread
+    if not ((np.minimum(h_lo, h_hi) <= target) & (target <= np.maximum(h_lo, h_hi))).all():
+        # convex combination of h_lo and h_hi; guarded anyway
+        raise InfeasibleError(
+            "probability shift target left [h(p0-eps2), h(p0+eps2)]"
+        )
+    mu = p0 - _inverses(h, target)
+    _check_shift_band("mu", mu, eps2)
+    return mu
 
 
 def rdu_risk_premium_exact(dm: DecisionMaker, sc: Scenario) -> float:
     """Solve the rank-dependent indifference equation for the wealth
     reduction sigma; always inside (-eps1, eps1)."""
-    w_lo, w_hi, _ = _decision_weights(dm.weighting, sc)
-    u = dm.utility
-    mean = w_lo * u.value(sc.x0 - sc.eps1) + w_hi * u.value(sc.x0 + sc.eps1)
-    lo, hi = u.codomain
-    if not lo < mean < hi:  # convex combination of attained values; guarded
-        raise RangeError("decision-weighted utility left the utility range")
-    return sc.x0 - u.inverse(mean)
+    return _at_point(_sigma, dm, sc.x0, sc.p0, sc.eps1, sc.eps2)
 
 
 def rdu_risk_premium_approx(dm: DecisionMaker, sc: Scenario) -> float:
@@ -202,27 +271,7 @@ def rdu_probability_premium_exact(dm: DecisionMaker, sc: Scenario) -> float:
     """Solve for the probability shift mu from the unfavorable to the
     favorable payoff; the shifted split point p0 - mu stays inside
     [p0 - eps2, p0 + eps2]."""
-    h, u = dm.weighting, dm.utility
-    h_lo = h.value(sc.p0 - sc.eps2)
-    h_hi = h.value(sc.p0 + sc.eps2)
-    u_lo = u.value(sc.x0 - sc.eps1)
-    u_mid = u.value(sc.x0)
-    u_hi = u.value(sc.x0 + sc.eps1)
-    spread = u_hi - u_lo
-    if not spread > 0.0:
-        raise DegenerateError("utility spread degenerated; cannot solve for mu")
-    target = (h_hi * (u_hi - u_mid) + h_lo * (u_mid - u_lo)) / spread
-    if not min(h_lo, h_hi) <= target <= max(h_lo, h_hi):
-        # convex combination of h_lo and h_hi; guarded anyway
-        raise InfeasibleError(
-            "probability shift target left [h(p0-eps2), h(p0+eps2)]"
-        )
-    mu = sc.p0 - h.inverse(target)
-    if abs(mu) > sc.eps2 * (1.0 + 1e-9) + 1e-15:
-        raise InfeasibleError(
-            f"mu={mu:g} leaves the admissible shift band [-eps2, eps2]"
-        )
-    return mu
+    return _at_point(_mu, dm, sc.x0, sc.p0, sc.eps1, sc.eps2)
 
 
 def rdu_probability_premium_approx(dm: DecisionMaker, sc: Scenario) -> float:
@@ -243,7 +292,7 @@ def local_indexes(dm: DecisionMaker, x0: float, p0: float) -> tuple[float, float
 
 def sensitivity_sigma_eps1(dm: DecisionMaker, sc: Scenario, sigma: float) -> float:
     """d(sigma)/d(eps1) at a solution sigma of the risk-premium equation."""
-    w_lo, w_hi, _ = _decision_weights(dm.weighting, sc)
+    w_lo, w_hi = _decision_weights(dm.weighting, sc.p0, sc.eps2)
     u = dm.utility
     num = w_lo * u.d1(sc.x0 - sc.eps1) - w_hi * u.d1(sc.x0 + sc.eps1)
     return num / u.d1(sc.x0 - sigma)

@@ -7,6 +7,8 @@ from riskpremia import (
     CaraUtility,
     CrraUtility,
     DecisionMaker,
+    DomainError,
+    ExpTransform,
     GridError,
     IdentityWeighting,
     LinearUtility,
@@ -15,6 +17,7 @@ from riskpremia import (
     PowerWeighting,
     PrelecWeighting,
     QuadraticUtility,
+    Scenario,
     TkWeighting,
     check_concave_composition,
     check_cross_ratio,
@@ -23,8 +26,20 @@ from riskpremia import (
     check_theorem1,
     check_theorem2,
     concavify,
+    dt_probability_premium_exact,
+    dt_risk_premium_exact,
+    rdu_probability_premium_exact,
+    rdu_risk_premium_exact,
 )
-from riskpremia.comparative import probability_grid, quadruple_sample
+from riskpremia.comparative import (
+    INDEX_SLACK,
+    PREMIUM_SLACK,
+    dt_scenario_grid,
+    probability_grid,
+    quadruple_sample,
+    rdu_scenario_grid,
+    utility_x_window,
+)
 from conftest import random_transform, random_weighting
 
 POW05 = PowerWeighting(theta=0.5)
@@ -219,3 +234,181 @@ class TestTheorem2Report:
         dm2 = DecisionMaker(LogUtility(), PRELEC)  # domain from 0
         with pytest.raises(GridError):
             check_theorem2(dm2, dm1, n_points=51, n_samples=20)
+
+
+# ---------------------------------------------------------------------------
+# The one-pass array checks against a per-point loop over the scalar kernels
+# ---------------------------------------------------------------------------
+
+TK = TkWeighting(gamma=0.61)
+TK_MORE = concavify(TK, PowerTransform(kappa=0.7))
+PRELEC_MORE = concavify(PRELEC, ExpTransform(a=1.5))
+WEIGHTING_PAIRS = [
+    (TK_MORE, TK),
+    (TK, TK_MORE),
+    (POW05, IdentityWeighting()),
+    (IdentityWeighting(), POW05),
+    (PRELEC_MORE, PRELEC),
+    (PRELEC, PRELEC_MORE),
+    (POW2, TK),
+]
+UTILITY_PAIRS = [
+    (CaraUtility(a=2.0), CaraUtility(a=1.0)),
+    (CrraUtility(eta=3.0), CrraUtility(eta=1.5)),
+    (CrraUtility(eta=2.0), LogUtility()),
+    (CaraUtility(a=0.5), LinearUtility()),
+    (QuadraticUtility(b=0.2), QuadraticUtility(b=0.1)),
+]
+
+
+def _sided(side, witness):
+    return {"side": side, **witness} if side else witness
+
+
+def _assert_matches_loop(check, margins, witnesses, slack):
+    """check equals the verdict of a per-point loop: same worst margin, and
+    the witness is the first point violating beyond slack, in grid order."""
+    worst = min(margins)
+    first = next((w for m, w in zip(margins, witnesses) if m < -slack), None)
+    assert check.n_points == len(margins)
+    assert check.worst_margin == worst
+    assert check.holds is (worst >= -slack)
+    assert check.witness == first
+    if first is not None:
+        assert all(type(v) is float for k, v in check.witness.items() if k != "side")
+
+
+def _premium_loop(kernels, names, agent2, agent1, grid, base):
+    """Per-point margins and witnesses of conditions (ii) and (iii)."""
+    out = []
+    for kernel, name in zip(kernels, names):
+        margins, witnesses = [], []
+        for point in grid:
+            v2, v1 = kernel(agent2, *point), kernel(agent1, *point)
+            margins.append(v2 - v1)
+            witnesses.append({**base(*point), f"{name}2": v2, f"{name}1": v1})
+        out.append((margins, witnesses))
+    return out
+
+
+def _assert_composition_matches_loop(f2, f1, t_grid, side=""):
+    g = [f2.value(f1.inverse(t)) for t in t_grid]
+    second = [g[i - 1] - 2.0 * g[i] + g[i + 1] for i in range(1, len(g) - 1)]
+    witnesses = [
+        _sided(side, {"t": float(t), "second_diff": d}) for t, d in zip(t_grid[1:-1], second)
+    ]
+    check = check_concave_composition(f2, f1, t_grid, side=side)
+    _assert_matches_loop(check, [-d for d in second], witnesses, INDEX_SLACK)
+
+
+def _assert_cross_ratio_matches_loop(f2, f1, quads, side=""):
+    margins, witnesses = [], []
+    for p, q, r, s in quads:
+        lhs = (f2.value(s) - f2.value(r)) / (f2.value(q) - f2.value(p))
+        rhs = (f1.value(s) - f1.value(r)) / (f1.value(q) - f1.value(p))
+        margins.append(rhs - lhs)
+        witnesses.append(
+            _sided(side, {"p": p, "q": q, "r": r, "s": s, "ratio2": lhs, "ratio1": rhs})
+        )
+    check = check_cross_ratio(f2, f1, quads, side=side)
+    _assert_matches_loop(check, margins, witnesses, INDEX_SLACK)
+
+
+class TestArrayChecksMatchScalarLoop:
+    @pytest.mark.parametrize("h2,h1", WEIGHTING_PAIRS, ids=lambda h: h.spec)
+    def test_dual_theory_conditions(self, h2, h1):
+        grid = dt_scenario_grid()
+        loops = _premium_loop(
+            (dt_risk_premium_exact, dt_probability_premium_exact),
+            ("rho", "lambda"),
+            h2,
+            h1,
+            grid,
+            lambda p0, eps2: {"p0": p0, "eps2": eps2},
+        )
+        for check, (margins, witnesses) in zip(check_premium_dominance_dt(h2, h1, grid), loops):
+            _assert_matches_loop(check, margins, witnesses, PREMIUM_SLACK)
+        _assert_composition_matches_loop(h2, h1, probability_grid(51))
+        _assert_cross_ratio_matches_loop(h2, h1, quadruple_sample(60, seed=3), side="weighting")
+
+    @pytest.mark.parametrize("order", ["more averse first", "reversed"])
+    @pytest.mark.parametrize("u2,u1", UTILITY_PAIRS, ids=lambda u: u.spec)
+    def test_rank_dependent_conditions(self, u2, u1, order):
+        dm2, dm1 = DecisionMaker(u2, TK_MORE), DecisionMaker(u1, TK)
+        if order == "reversed":
+            dm2, dm1 = dm1, dm2
+            u2, u1 = u1, u2
+        grid = rdu_scenario_grid(u1, u2)
+        loops = _premium_loop(
+            (rdu_risk_premium_exact, rdu_probability_premium_exact),
+            ("sigma", "mu"),
+            dm2,
+            dm1,
+            [(sc,) for sc in grid],
+            lambda sc: {"x0": sc.x0, "p0": sc.p0, "eps1": sc.eps1, "eps2": sc.eps2},
+        )
+        report = check_theorem2(dm2, dm1, n_points=11, n_samples=5, scenario_grid=grid)
+        for check, (margins, witnesses) in zip(report.conditions[1:3], loops):
+            _assert_matches_loop(check, margins, witnesses, PREMIUM_SLACK)
+
+        lo, hi = utility_x_window(u1, u2, pad=0.1)
+        t_lo, t_hi = u1.value(lo), u1.value(hi)
+        step = (t_hi - t_lo) / 42
+        t_grid = np.linspace(t_lo + step, t_hi - step, 41)
+        _assert_composition_matches_loop(u2, u1, t_grid, side="utility")
+        quads = quadruple_sample(40, seed=2, lo=lo, hi=hi)
+        _assert_cross_ratio_matches_loop(u2, u1, quads, side="utility")
+
+    def test_witness_is_first_violation_not_worst(self):
+        grid = dt_scenario_grid()
+        margins = [
+            dt_risk_premium_exact(PRELEC, p0, e) - dt_risk_premium_exact(PRELEC_MORE, p0, e)
+            for p0, e in grid
+        ]
+        first = next(i for i, m in enumerate(margins) if m < -PREMIUM_SLACK)
+        worst = int(np.argmin(margins))
+        assert first != worst  # the case must tell the two apart
+        ii, _ = check_premium_dominance_dt(PRELEC, PRELEC_MORE, grid)
+        assert (ii.witness["p0"], ii.witness["eps2"]) == grid[first]
+        assert ii.worst_margin == margins[worst]
+
+
+@pytest.mark.filterwarnings("error")
+class TestBadGridPoints:
+    """A bad point in a caller's grid raises what the scalar kernel raises
+    at the first bad point, with no numpy warning on the way."""
+
+    def test_dual_theory_point_outside_band(self):
+        grid = [(0.5, 0.1), (0.3, 0.4), (1.3, 0.1)]
+        with pytest.raises(DomainError) as scalar:
+            dt_risk_premium_exact(TK_MORE, 0.3, 0.4)
+        with pytest.raises(DomainError) as array:
+            check_premium_dominance_dt(TK_MORE, TK, grid)
+        assert str(array.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("first_bad_for", [1, 2])
+    def test_rank_dependent_payoff_outside_domain(self, first_bad_for):
+        dm2 = DecisionMaker(CrraUtility(eta=2.0), TK_MORE)  # payoffs x > 0
+        dm1 = DecisionMaker(QuadraticUtility(b=0.2), TK)  # payoffs x < 2.5
+        only_1 = Scenario(x0=2.45, p0=0.5, eps1=0.1, eps2=0.1)
+        only_2 = Scenario(x0=0.05, p0=0.5, eps1=0.1, eps2=0.1)
+        bad = [only_1, only_2] if first_bad_for == 1 else [only_2, only_1]
+        with pytest.raises(DomainError) as scalar:
+            rdu_risk_premium_exact(dm1 if first_bad_for == 1 else dm2, bad[0])
+        grid = [Scenario(x0=1.0, p0=0.5, eps1=0.1, eps2=0.1), *bad]
+        with pytest.raises(DomainError) as array:
+            check_theorem2(dm2, dm1, n_points=11, n_samples=5, scenario_grid=grid)
+        assert str(array.value) == str(scalar.value)
+
+    def test_cross_ratio_vanishing_increment(self):
+        quads = [(0.1, 0.2, 0.3, 0.4), (0.2, 0.2, 0.3, 0.4)]
+        with pytest.raises(ZeroDivisionError):
+            check_cross_ratio(POW2, POW05, quads)
+
+
+def test_theorem1_accepts_a_generator_grid():
+    grid = dt_scenario_grid()
+    rep = check_theorem1(TK_MORE, TK, n_points=21, n_samples=10, scenario_grid=iter(grid))
+    ref = check_theorem1(TK_MORE, TK, n_points=21, n_samples=10, scenario_grid=grid)
+    assert rep.grids["dt_scenarios"] == len(grid)
+    assert rep.to_dict() == ref.to_dict()
