@@ -56,7 +56,7 @@ from .funclib import (
     parse_utility,
     parse_weighting,
 )
-from .numerics import RootSpec, central_diff_1, central_diff_2, convergence_order, find_root
+from .numerics import RootSpec, convergence_order, find_root
 from .premia import (
     PremiumPair,
     PremiumReport,

@@ -22,6 +22,7 @@ every error path prints a single "error: <stage>: <reason>" line.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Sequence
@@ -44,19 +45,7 @@ from .evalcore import (
 )
 from .funclib import LinearUtility, parse_utility, parse_weighting
 from .numerics import convergence_order
-from .premia import (
-    PremiumReport,
-    Scenario,
-    dt_probability_premium_approx,
-    dt_probability_premium_exact,
-    dt_risk_premium_approx,
-    dt_risk_premium_exact,
-    eu_probability_premium_approx,
-    eu_probability_premium_exact,
-    eu_risk_premium_approx,
-    eu_risk_premium_exact,
-    premium_report,
-)
+from .premia import PREMIA, PremiumReport, Scenario, premium_report
 
 _INPUT_ERRORS = (ParseError, DomainError, GridError, MonotonicityError, ConcavityError)
 
@@ -249,9 +238,7 @@ def cmd_eval(opts: _Options) -> str:
 
 _REPORT_COLUMNS = [
     "x0", "p0", "eps1", "eps2",
-    "pi_exact", "pi_approx", "gamma_exact", "gamma_approx",
-    "rho_exact", "rho_approx", "lambda_exact", "lambda_approx",
-    "sigma_exact", "sigma_approx", "mu_exact", "mu_approx",
+    *(f"{name}_{kind}" for name in PREMIA for kind in ("exact", "approx")),
     "ara", "dual_index", "max_residual",
 ]
 
@@ -260,12 +247,7 @@ def _report_row(report: PremiumReport) -> list[float]:
     sc = report.scenario
     return [
         sc.x0, sc.p0, sc.eps1, sc.eps2,
-        report.pi.exact, report.pi.approx,
-        report.gamma.exact, report.gamma.approx,
-        report.rho.exact, report.rho.approx,
-        report.lam.exact, report.lam.approx,
-        report.sigma.exact, report.sigma.approx,
-        report.mu.exact, report.mu.approx,
+        *(v for pair in report.pairs().values() for v in pair),
         report.ara, report.dual_index,
         max(abs(v) for v in report.residuals.values()),
     ]
@@ -281,12 +263,8 @@ def cmd_premia(opts: _Options) -> str:
     if fmt == "csv":
         return _csv_lines(_REPORT_COLUMNS, [_report_row(report)])
     rows = [
-        ["pi", report.pi.exact, report.pi.approx, report.residuals["pi"]],
-        ["gamma", report.gamma.exact, report.gamma.approx, report.residuals["gamma"]],
-        ["rho", report.rho.exact, report.rho.approx, report.residuals["rho"]],
-        ["lambda", report.lam.exact, report.lam.approx, report.residuals["lambda"]],
-        ["sigma", report.sigma.exact, report.sigma.approx, report.residuals["sigma"]],
-        ["mu", report.mu.exact, report.mu.approx, report.residuals["mu"]],
+        [name, pair.exact, pair.approx, report.residuals[name]]
+        for name, pair in report.pairs().items()
     ]
     lines = [
         f"decision maker: {dm.label}",
@@ -374,79 +352,26 @@ def cmd_sweep(opts: _Options) -> str:
 # convergence
 # ---------------------------------------------------------------------------
 
-_PREMIUM_AXIS = {
-    "pi": "eps1", "gamma": "eps1", "sigma": "eps1",
-    "rho": "eps2", "lambda": "eps2", "mu": "eps2",
-}
-
-
-def _premium_values(name: str, dm: DecisionMaker, sc: Scenario) -> tuple[float, float]:
-    u, h = dm.utility, dm.weighting
-    if name == "pi":
-        return (
-            eu_risk_premium_exact(u, sc.x0, sc.eps1),
-            eu_risk_premium_approx(u, sc.x0, sc.eps1),
-        )
-    if name == "gamma":
-        return (
-            eu_probability_premium_exact(u, sc.x0, sc.eps1),
-            eu_probability_premium_approx(u, sc.x0, sc.eps1),
-        )
-    if name == "rho":
-        return (
-            dt_risk_premium_exact(h, sc.p0, sc.eps2),
-            dt_risk_premium_approx(h, sc.p0, sc.eps2),
-        )
-    if name == "lambda":
-        return (
-            dt_probability_premium_exact(h, sc.p0, sc.eps2),
-            dt_probability_premium_approx(h, sc.p0, sc.eps2),
-        )
-    report = premium_report(dm, sc)
-    pair = report.sigma if name == "sigma" else report.mu
-    return pair.exact, pair.approx
-
-
-def _normalizer(name: str, sc: Scenario) -> float:
-    if name == "pi":
-        return sc.eps1**2
-    if name == "gamma":
-        return sc.eps1
-    if name == "rho":
-        return sc.eps2
-    if name == "lambda":
-        return sc.eps2**2
-    if name == "sigma":
-        return sc.eps1 * (sc.eps1 + sc.eps2)
-    return sc.eps2 * (sc.eps1 + sc.eps2)
-
-
 def cmd_convergence(opts: _Options) -> str:
     name = opts.get("premium")
-    if name not in _PREMIUM_AXIS:
-        raise ParseError(
-            f"convergence requires --premium from {tuple(_PREMIUM_AXIS)}"
-        )
+    if name not in PREMIA:
+        raise ParseError(f"convergence requires --premium from {tuple(PREMIA)}")
+    premium = PREMIA[name]
     levels = opts.get_int("levels", 5)
     if levels < 2:
         raise ParseError("convergence needs at least 2 levels")
     dm = opts.decision_maker()
     base = opts.scenario()
-    axis = _PREMIUM_AXIS[name]
+    axis = premium.axis
 
     rows = []
     pairs = []
     for level in range(levels):
-        scale = 0.5**level
-        params = {
-            "x0": base.x0, "p0": base.p0, "eps1": base.eps1, "eps2": base.eps2,
-        }
-        params[axis] = params[axis] * scale
-        sc = Scenario(**params)
+        sc = dataclasses.replace(base, **{axis: getattr(base, axis) * 0.5**level})
         eps = getattr(sc, axis)
-        exact, approx = _premium_values(name, dm, sc)
+        exact, approx = premium.exact(dm, sc), premium.approx(dm, sc)
         err = abs(exact - approx)
-        rows.append([level, eps, exact, approx, err, err / _normalizer(name, sc)])
+        rows.append([level, eps, exact, approx, err, err / premium.error_scale(sc)])
         pairs.append((eps, err))
 
     try:
@@ -566,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv = sub.add_parser(
         "convergence", parents=[shared], help="approximation error under halving"
     )
-    p_conv.add_argument("--premium", choices=tuple(_PREMIUM_AXIS))
+    p_conv.add_argument("--premium", choices=tuple(PREMIA))
     p_conv.add_argument("--levels", type=int)
 
     p_cmp = sub.add_parser(

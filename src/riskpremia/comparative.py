@@ -167,7 +167,7 @@ def _on_grid(compute: Callable, columns: Sequence[np.ndarray]):
     """
     try:
         return compute(*columns)
-    except (RiskPremiaError, ZeroDivisionError):
+    except RiskPremiaError:
         for i in range(len(columns[0])):
             compute(*(c[i : i + 1] for c in columns))
         raise
@@ -277,13 +277,20 @@ def check_cross_ratio(
     f2, f1, quadruples: Iterable[Quadruple], *, condition: str = "v", side: str = ""
 ) -> ConditionCheck:
     """Increment-ratio dominance: for p < q <= r < s,
-    (f2(s)-f2(r))/(f2(q)-f2(p)) <= (f1(s)-f1(r))/(f1(q)-f1(p))."""
+    (f2(s)-f2(r))/(f2(q)-f2(p)) <= (f1(s)-f1(r))/(f1(q)-f1(p)).
+    GridError names the first quadruple out of that order."""
     quads = [(p, q, r, s) for p, q, r, s in quadruples]
     if not quads:
         raise GridError("empty cross-ratio sample")
+    corners = [np.array(c, dtype=float) for c in zip(*quads)]
+    p, q, r, s = corners
+    ordered = (p < q) & (q <= r) & (r < s)
+    if not ordered.all():
+        i = int(np.argmin(ordered))
+        bad = tuple(float(c[i]) for c in corners)
+        raise GridError(f"cross-ratio quadruple {bad} is not ordered p < q <= r < s")
     lhs, rhs = _on_grid(
-        lambda *corners: (_increment_ratios(f2, *corners), _increment_ratios(f1, *corners)),
-        [np.array(c, dtype=float) for c in zip(*quads)],
+        lambda *c: (_increment_ratios(f2, *c), _increment_ratios(f1, *c)), corners
     )
 
     def witness(i):

@@ -1,5 +1,5 @@
-"""Shared numeric kernel: bracketed root finding, difference quotients, and
-empirical convergence-order fits.
+"""Shared numeric kernel: bracketed root finding and empirical
+convergence-order fits.
 
 The root finder is deliberately hand-rolled rather than delegated to a
 library routine: the contract here is a *residual* tolerance (|f(x)| < tol),
@@ -95,16 +95,6 @@ def find_root(spec: RootSpec) -> float:
         f"residual tolerance {spec.tol:g} not reached within "
         f"{spec.max_iter} iterations (bracket [{lo:.17g}, {hi:.17g}])"
     )
-
-
-def central_diff_1(f: Callable[[float], float], x: float, step: float = 1e-5) -> float:
-    """Central difference estimate of f'(x)."""
-    return (f(x + step) - f(x - step)) / (2.0 * step)
-
-
-def central_diff_2(f: Callable[[float], float], x: float, step: float = 1e-5) -> float:
-    """Central difference estimate of f''(x)."""
-    return (f(x + step) - 2.0 * f(x) + f(x - step)) / (step * step)
 
 
 def convergence_order(errors: Sequence[tuple[float, float]]) -> float:

@@ -42,13 +42,19 @@ the public scalar kernels run them on a one-point grid.  Forward values
 go through the array path of value() and inverses stay one point at a
 time through the scalar inverse(), so a premium has the same bits at
 every grid size.
+
+PREMIA lists the six premia once, in report order (pi, gamma, rho,
+lambda, sigma, mu): for each, its exact and approximate kernel on a
+(DecisionMaker, Scenario), the epsilon a convergence study halves, and
+the error scale that study divides by.  premium_report and the CLI read
+every premium listing from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -100,10 +106,10 @@ def _at_point(kernel, agent, *point: float) -> float:
 
 
 def _divide(num, den):
-    """num / den, raising ZeroDivisionError wherever float division would
-    (a spread below rounding width), instead of numpy's inf and warning."""
+    """num / den, raising DegenerateError wherever a denominator is zero (a
+    spread below rounding width), instead of numpy's inf and warning."""
     if not np.all(den):
-        raise ZeroDivisionError("float division by zero")
+        raise DegenerateError("spread vanished below rounding width; cannot divide by it")
     return num / den
 
 
@@ -312,8 +318,59 @@ def sensitivity_mu_eps2(dm: DecisionMaker, sc: Scenario, mu: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Assembled report
+# The premium table and the assembled report
 # ---------------------------------------------------------------------------
+
+
+class Premium(NamedTuple):
+    """One premium: exact and approximate kernels on (dm, sc), the epsilon
+    its convergence study halves, and the scale its error is divided by."""
+
+    exact: Callable[[DecisionMaker, Scenario], float]
+    approx: Callable[[DecisionMaker, Scenario], float]
+    axis: str
+    error_scale: Callable[[Scenario], float]
+
+
+# Entries call the kernels through their module-level names, so a kernel
+# replaced on the module (e.g. wrapped for tracing) is the one that runs.
+PREMIA: dict[str, Premium] = {
+    "pi": Premium(
+        lambda dm, sc: eu_risk_premium_exact(dm.utility, sc.x0, sc.eps1),
+        lambda dm, sc: eu_risk_premium_approx(dm.utility, sc.x0, sc.eps1),
+        "eps1", lambda sc: sc.eps1**2,
+    ),
+    "gamma": Premium(
+        lambda dm, sc: eu_probability_premium_exact(dm.utility, sc.x0, sc.eps1),
+        lambda dm, sc: eu_probability_premium_approx(dm.utility, sc.x0, sc.eps1),
+        "eps1", lambda sc: sc.eps1,
+    ),
+    "rho": Premium(
+        lambda dm, sc: dt_risk_premium_exact(dm.weighting, sc.p0, sc.eps2),
+        lambda dm, sc: dt_risk_premium_approx(dm.weighting, sc.p0, sc.eps2),
+        "eps2", lambda sc: sc.eps2,
+    ),
+    "lambda": Premium(
+        lambda dm, sc: dt_probability_premium_exact(dm.weighting, sc.p0, sc.eps2),
+        lambda dm, sc: dt_probability_premium_approx(dm.weighting, sc.p0, sc.eps2),
+        "eps2", lambda sc: sc.eps2**2,
+    ),
+    "sigma": Premium(
+        lambda dm, sc: rdu_risk_premium_exact(dm, sc),
+        lambda dm, sc: rdu_risk_premium_approx(dm, sc),
+        "eps1", lambda sc: sc.eps1 * (sc.eps1 + sc.eps2),
+    ),
+    "mu": Premium(
+        lambda dm, sc: rdu_probability_premium_exact(dm, sc),
+        lambda dm, sc: rdu_probability_premium_approx(dm, sc),
+        "eps2", lambda sc: sc.eps2 * (sc.eps1 + sc.eps2),
+    ),
+}
+
+
+def _field(name: str) -> str:
+    """PremiumReport's field for a premium (lambda is a Python keyword)."""
+    return "lam" if name == "lambda" else name
 
 
 @dataclass(frozen=True)
@@ -335,22 +392,16 @@ class PremiumReport:
     residuals: dict[str, float]
     link_deltas: dict[str, float]
 
+    def pairs(self) -> dict[str, PremiumPair]:
+        """name -> (exact, approx), in PREMIA order."""
+        return {name: getattr(self, _field(name)) for name in PREMIA}
+
     def to_dict(self) -> dict:
         sc = self.scenario
         return {
             "dm": self.dm_label,
             "scenario": {"x0": sc.x0, "p0": sc.p0, "eps1": sc.eps1, "eps2": sc.eps2},
-            "premia": {
-                name: {"exact": pair.exact, "approx": pair.approx}
-                for name, pair in [
-                    ("pi", self.pi),
-                    ("gamma", self.gamma),
-                    ("rho", self.rho),
-                    ("lambda", self.lam),
-                    ("sigma", self.sigma),
-                    ("mu", self.mu),
-                ]
-            },
+            "premia": {name: pair._asdict() for name, pair in self.pairs().items()},
             "ara": self.ara,
             "dual_index": self.dual_index,
             "residuals": dict(self.residuals),
@@ -383,23 +434,8 @@ def _residuals(dm: DecisionMaker, sc: Scenario, ex: dict[str, float]) -> dict[st
 
 def premium_report(dm: DecisionMaker, sc: Scenario) -> PremiumReport:
     """Compute every premium for one decision maker and scenario."""
-    u, h = dm.utility, dm.weighting
-    exact = {
-        "pi": eu_risk_premium_exact(u, sc.x0, sc.eps1),
-        "gamma": eu_probability_premium_exact(u, sc.x0, sc.eps1),
-        "rho": dt_risk_premium_exact(h, sc.p0, sc.eps2),
-        "lambda": dt_probability_premium_exact(h, sc.p0, sc.eps2),
-        "sigma": rdu_risk_premium_exact(dm, sc),
-        "mu": rdu_probability_premium_exact(dm, sc),
-    }
-    approx = {
-        "pi": eu_risk_premium_approx(u, sc.x0, sc.eps1),
-        "gamma": eu_probability_premium_approx(u, sc.x0, sc.eps1),
-        "rho": dt_risk_premium_approx(h, sc.p0, sc.eps2),
-        "lambda": dt_probability_premium_approx(h, sc.p0, sc.eps2),
-        "sigma": rdu_risk_premium_approx(dm, sc),
-        "mu": rdu_probability_premium_approx(dm, sc),
-    }
+    exact = {name: p.exact(dm, sc) for name, p in PREMIA.items()}
+    approx = {name: p.approx(dm, sc) for name, p in PREMIA.items()}
     ara, dual_index = local_indexes(dm, sc.x0, sc.p0)
     link_deltas = {
         "pi_vs_gamma": approx["pi"] - 2.0 * sc.eps1 * approx["gamma"],
@@ -413,12 +449,7 @@ def premium_report(dm: DecisionMaker, sc: Scenario) -> PremiumReport:
     return PremiumReport(
         scenario=sc,
         dm_label=dm.label,
-        pi=PremiumPair(exact["pi"], approx["pi"]),
-        gamma=PremiumPair(exact["gamma"], approx["gamma"]),
-        rho=PremiumPair(exact["rho"], approx["rho"]),
-        lam=PremiumPair(exact["lambda"], approx["lambda"]),
-        sigma=PremiumPair(exact["sigma"], approx["sigma"]),
-        mu=PremiumPair(exact["mu"], approx["mu"]),
+        **{_field(name): PremiumPair(exact[name], approx[name]) for name in PREMIA},
         ara=ara,
         dual_index=dual_index,
         residuals=_residuals(dm, sc, exact),

@@ -2,7 +2,9 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
 
 from riskpremia.cli import main
 
@@ -99,6 +101,13 @@ class TestPremia:
         code, _, err = run_cli(capsys, "premia", "--eps2", "0.7")
         assert code == 2
         assert "eps2" in err and err.startswith("error: input:")
+
+    def test_spread_below_rounding_width_exits_1(self, capsys):
+        # h(0.5 +- 1e-17) == h(0.5), so rho's denominator is exactly zero
+        code, out, err = run_cli(capsys, "premia", "--weighting", "power:2", "--eps2", "1e-17")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: compute:") and err.count("\n") == 1
 
 
 class TestSweep:
@@ -345,3 +354,14 @@ def test_module_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("x0,p0,")
+
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_golden_output(capsys, case):
+    """premia, sweep and convergence stdout, byte for byte as recorded."""
+    code, out, _ = run_cli(capsys, *case["argv"])
+    assert code == case["exit_code"]
+    assert out == case["stdout"]

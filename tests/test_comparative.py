@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from riskpremia import (
     CaraUtility,
     CrraUtility,
     DecisionMaker,
+    DegenerateError,
     DomainError,
     ExpTransform,
     GridError,
@@ -401,8 +403,19 @@ class TestBadGridPoints:
         assert str(array.value) == str(scalar.value)
 
     def test_cross_ratio_vanishing_increment(self):
-        quads = [(0.1, 0.2, 0.3, 0.4), (0.2, 0.2, 0.3, 0.4)]
-        with pytest.raises(ZeroDivisionError):
+        # ordered, but power:2's increment over (p, q) underflows to zero
+        quads = [(0.1, 0.2, 0.3, 0.4), (1e-200, 2e-200, 0.3, 0.4)]
+        with pytest.raises(DegenerateError):
+            check_cross_ratio(POW2, POW05, quads)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [(0.4, 0.3, 0.2, 0.1), (0.2, 0.2, 0.3, 0.4), (0.1, 0.3, 0.2, 0.4), (0.1, 0.2, 0.3, 0.3)],
+    )
+    def test_cross_ratio_misordered_quadruple(self, bad):
+        # reversed corners would otherwise flip the verdict of a failing pair
+        quads = [(0.1, 0.2, 0.3, 0.4), bad, (0.4, 0.3, 0.2, 0.1)]
+        with pytest.raises(GridError, match=f"quadruple {re.escape(str(bad))} is not ordered"):
             check_cross_ratio(POW2, POW05, quads)
 
 

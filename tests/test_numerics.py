@@ -8,8 +8,6 @@ from riskpremia import (
     MaxIterError,
     PowerWeighting,
     RootSpec,
-    central_diff_1,
-    central_diff_2,
     convergence_order,
     find_root,
 )
@@ -67,20 +65,6 @@ class TestFindRoot:
 
         root = find_root(RootSpec(f, (0.0, 1.0), tol=1e-14))
         assert abs(root - 0.3) < 1e-15
-
-
-class TestCentralDiff:
-    def test_square(self):
-        assert abs(central_diff_1(lambda x: x * x, 1.0) - 2.0) < 1e-8
-        assert abs(central_diff_2(lambda x: x * x, 1.0) - 2.0) < 1e-5
-
-    def test_exponential_slope(self):
-        # -exp(-x) has derivative exp(-x) = 1 at x = 0
-        assert abs(central_diff_1(lambda x: -math.exp(-x), 0.0) - 1.0) < 1e-8
-
-    def test_weighting_curvature(self):
-        h = PowerWeighting(theta=2.0)
-        assert abs(central_diff_2(lambda p: h.value(p), 0.5) - 2.0) < 1e-5
 
 
 class TestConvergenceOrder:
