@@ -16,7 +16,10 @@ warning on stderr.
 Output is deterministic: identical invocations produce byte-identical
 stdout/files.  Numbers carry 12 significant digits in CSV/JSON and 6 in
 tables.  Exit codes: 0 success, 2 invalid input, 1 computation failure;
-every error path prints a single "error: <stage>: <reason>" line.
+every error path prints a single "error: <stage>: <reason>" line.  A
+subcommand runs with numpy overflow, invalid and divide-by-zero raised,
+so a floating-point failure is one "error: compute:" line, not a
+leaked warning.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ import dataclasses
 import json
 import sys
 from typing import Sequence
+
+import numpy as np
 
 from .comparative import check_theorem1, check_theorem2
 from .errors import (
@@ -354,7 +359,7 @@ def cmd_sweep(opts: _Options) -> str:
 
 def cmd_convergence(opts: _Options) -> str:
     name = opts.get("premium")
-    if name not in PREMIA:
+    if not isinstance(name, str) or name not in PREMIA:
         raise ParseError(f"convergence requires --premium from {tuple(PREMIA)}")
     premium = PREMIA[name]
     levels = opts.get_int("levels", 5)
@@ -525,12 +530,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     ns = parser.parse_args(argv)
     try:
         opts = _Options(ns)
-        text = _COMMANDS[ns.command](opts)
+        # overflow, invalid and divide-by-zero raise instead of warning;
+        # underflow to zero stays silent
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            text = _COMMANDS[ns.command](opts)
         _emit(text, getattr(ns, "out", None))
     except _INPUT_ERRORS as exc:
         sys.stderr.write(_error_line("input", exc) + "\n")
         return 2
-    except RiskPremiaError as exc:
+    except (RiskPremiaError, FloatingPointError) as exc:
         sys.stderr.write(_error_line("compute", exc) + "\n")
         return 1
     except OSError as exc:

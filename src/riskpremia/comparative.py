@@ -20,7 +20,9 @@ grid point, in grid order, that violates the condition beyond the slack.
 Each condition is evaluated in one array pass per agent: the premium
 conditions (ii)/(iii) solve every scenario of the grid at once through
 the array kernels of premia, and only the reported witness is built as
-a dict.  The numbers are those of the per-point scalar kernels, bit for
+a dict; condition (iv) inverts a weighting's whole grid in one array
+inverse() call (tk: one lockstep root find) and a utility's point by
+point.  The numbers are those of the per-point scalar kernels, bit for
 bit; a grid with a bad point raises what the scalar kernels raise at
 the first such point.
 

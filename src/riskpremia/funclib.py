@@ -12,6 +12,11 @@ Conventions:
   queries at the endpoints are domain errors (they diverge for some
   families).
 - h.dual is the decumulative companion 1 - h(1 - p).
+- Inverses: u.inverse takes one utility value at a time; h.inverse takes
+  a scalar or an array and gives the scalar's bits at every point.
+  Closed-form families invert an array point by point in math (a numpy
+  ufunc would change bits); tk solves all interior targets in one
+  lockstep root find (numerics.find_roots).
 - A ConcaveTransform T is a strictly increasing, strictly concave map of
   [0, 1] onto itself; concavify(h, T) builds the composition T(h(p)) with
   chain-rule derivatives.  Composing with any valid T raises the curvature
@@ -38,7 +43,7 @@ from .errors import (
     ParseError,
     RangeError,
 )
-from .numerics import RootSpec, find_root
+from .numerics import RootSpec, find_root, find_roots
 
 # Interior probability grid used for construction-time monotonicity checks.
 # Inset of 1e-4 keeps clear of endpoint derivative blowup (prelec).
@@ -355,9 +360,10 @@ class QuadraticUtility(UtilityFn):
 class WeightingFn:
     """Base class for probability distortions on [0, 1].
 
-    value accepts the closed interval and returns the endpoints exactly;
-    d1/d2 are defined on the open interval only.  Construction validates
-    h' > 0 on VALIDATION_GRID.
+    value and inverse accept the closed interval, scalars or arrays, and
+    return the endpoints exactly; d1/d2 are defined on the open interval
+    only.  An array inverse has the bits of the scalar inverse at every
+    point.  Construction validates h' > 0 on VALIDATION_GRID.
     """
 
     family: ClassVar[str] = ""
@@ -394,13 +400,23 @@ class WeightingFn:
         arr = self._check_unit(p, open_interval=True)
         return _scalar_or_array(self._d2(arr), arr)
 
-    def inverse(self, q: float) -> float:
-        q = float(q)
-        if not (0.0 <= q <= 1.0) or not math.isfinite(q):
+    def inverse(self, q):
+        if np.ndim(q) == 0:
+            q = float(q)
+            if not (0.0 <= q <= 1.0) or not math.isfinite(q):
+                raise DomainError(f"distorted probability {q:g} outside [0, 1]")
+            if q == 0.0 or q == 1.0:
+                return q
+            return self._inverse(q)
+        arr = np.array(q, dtype=float)
+        bad = ~((arr >= 0.0) & (arr <= 1.0))
+        if bad.any():
+            q = float(arr[bad][0])
             raise DomainError(f"distorted probability {q:g} outside [0, 1]")
-        if q == 0.0 or q == 1.0:
-            return q
-        return self._inverse(q)
+        interior = (arr > 0.0) & (arr < 1.0)
+        if interior.any():  # endpoints stay exact in the copy
+            arr[interior] = self._inverse_array(arr[interior])
+        return arr
 
     def dual(self, p):
         """Decumulative companion 1 - h(1 - p); involutive and endpoint-exact."""
@@ -420,6 +436,10 @@ class WeightingFn:
 
     def _inverse(self, q: float) -> float:
         raise NotImplementedError
+
+    def _inverse_array(self, q: np.ndarray) -> np.ndarray:
+        # closed forms stay per point in math: a numpy ufunc changes bits
+        return np.array([self._inverse(v) for v in q.tolist()])
 
     def _check_increasing(self) -> None:
         d = self._d1(VALIDATION_GRID)
@@ -529,7 +549,8 @@ class TkWeighting(WeightingFn):
 
     Rejected for g < 0.28: monotonicity fails below that threshold, which
     would break the h' > 0 contract every other operation relies on.  No
-    closed-form inverse; inversion is a bracketed root find.
+    closed-form inverse; inversion is a bracketed root find, one lockstep
+    find for a whole array of targets.
     """
 
     gamma: float
@@ -582,6 +603,15 @@ class TkWeighting(WeightingFn):
             tol=1e-14,
         )
         return find_root(spec)
+
+    def _inverse_array(self, q):
+        # the same steps as _inverse for every target, in one lockstep solve
+        return find_roots(
+            lambda p, active: self._value(p) - q[active],
+            np.zeros(q.size),
+            np.ones(q.size),
+            tol=1e-14,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -793,6 +823,9 @@ class ComposedWeighting(WeightingFn):
 
     def _inverse(self, q):
         return self.base.inverse(self.transform.inverse(q))
+
+    def _inverse_array(self, q):
+        return self.base.inverse(np.array([self.transform.inverse(v) for v in q.tolist()]))
 
 
 def concavify(g: WeightingFn, transform: ConcaveTransform) -> ComposedWeighting:

@@ -39,9 +39,11 @@ realized deltas alongside the exact solutions' residuals.
 The exact rho, lambda, sigma and mu have private array forms (_rho,
 _lambda, _sigma, _mu) that solve a whole grid of scenarios in one pass;
 the public scalar kernels run them on a one-point grid.  Forward values
-go through the array path of value() and inverses stay one point at a
-time through the scalar inverse(), so a premium has the same bits at
-every grid size.
+go through the array path of value().  A weighting inverts a grid of
+more than one point in one array inverse() call (for tk, one lockstep
+root find); a one-point grid, and every utility, inverts one point at a
+time through the scalar inverse().  The array inverse has the scalar
+bits, so a premium has the same bits at every grid size.
 
 PREMIA lists the six premia once, in report order (pi, gamma, rho,
 lambda, sigma, mu): for each, its exact and approximate kernel on a
@@ -114,8 +116,12 @@ def _divide(num, den):
 
 
 def _inverses(f, targets: np.ndarray) -> np.ndarray:
-    """f.inverse at each target, one point at a time: a vectorized inverse
-    would not reproduce the scalar inverse's bits."""
+    """f.inverse at each target.  A weighting takes a grid of more than one
+    point in one array call, with the scalar bits at every point; one-point
+    grids (every public kernel) keep the cheaper scalar call, and utilities
+    invert one point at a time."""
+    if isinstance(f, WeightingFn) and targets.size > 1:
+        return f.inverse(targets)
     return np.array([f.inverse(t) for t in targets.tolist()])
 
 

@@ -326,6 +326,15 @@ class TestConfigAndOutput:
         assert code == 0
         assert json.loads(out)["dm"] == "u=cara:1 h=power:0.7@prelec:0.65,1"
 
+    def test_non_string_premium_in_config_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"premium": ["pi"]}))
+        code, out, err = run_cli(capsys, "convergence", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: input: convergence requires --premium")
+        assert err.count("\n") == 1
+
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         args = ("premia", "--utility", "cara:1", "--weighting", "tk:0.61",
                 "--eps2", "0.1", "--format", "csv")
@@ -344,6 +353,23 @@ class TestConfigAndOutput:
         row = out.strip().split("\n")[1].split(",")
         pi_exact = row[4]
         assert pi_exact == "0.00499168882165"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("premia", "--utility", "cara:1", "--x0", "-800"),
+        ("convergence", "--premium", "mu", "--utility", "cara:1", "--x0", "-800"),
+    ],
+    ids=["premia", "convergence-mu"],
+)
+def test_overflow_is_one_compute_error_line(capsys, argv):
+    """exp(800) overflows: one error line and exit 1, no numpy warning."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == "error: compute: overflow encountered in exp\n"
 
 
 def test_module_entrypoint_runs():

@@ -265,6 +265,47 @@ class TestWeightingFamilies:
             )
 
 
+# every weighting kind, including composites over tk and a composite of a
+# composite, for the array inverse
+ARRAY_INVERSE_SPECS = [
+    "identity", "power:0.5", "power:2.5", "prelec:0.65,1", "prelec:1.5,0.7",
+    "tk:0.28", "tk:0.61", "tk:1.5", "power:0.5@tk:0.61", "exp:2@tk:0.9",
+    "blend:0.3@tk:1.2", "blend:1@power:2", "power:0.7@prelec:0.65,1",
+    "power:0.5@power:0.3@tk:0.7",
+]
+
+
+class TestArrayInverse:
+    @pytest.mark.parametrize("spec", ARRAY_INVERSE_SPECS)
+    def test_bits_of_the_scalar_inverse(self, spec):
+        h = parse_weighting(spec)
+        specials = [0.0, 1.0, 5e-324, 1e-320, 1e-300, 1e-16, 0.5, 1.0 - 1e-16, 0.0, 1.0]
+        q = np.concatenate([np.linspace(0.0, 1.0, 97), specials])
+        got = h.inverse(q)
+        want = np.array([h.inverse(float(t)) for t in q])
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+        # shape kept; endpoints exact
+        grid = h.inverse(q[:96].reshape(8, 12))
+        assert grid.shape == (8, 12)
+        assert grid.view(np.int64).tolist() == want[:96].reshape(8, 12).view(np.int64).tolist()
+        assert h.inverse(np.array([0.0, 1.0])).tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize("spec", ["power:0.5", "tk:0.61", "power:0.5@tk:0.61"])
+    def test_first_bad_target_raises_the_scalar_message(self, spec):
+        h = parse_weighting(spec)
+        for bad in (1.5, -0.25, math.nan, math.inf):
+            with pytest.raises(DomainError) as scalar:
+                h.inverse(bad)
+            with pytest.raises(DomainError) as array:
+                h.inverse(np.array([0.2, bad, 2.0, 0.7]))
+            assert str(array.value) == str(scalar.value)
+
+    def test_input_not_modified(self):
+        q = np.array([0.0, 0.3, 1.0])
+        TkWeighting(gamma=0.61).inverse(q)
+        assert q.tolist() == [0.0, 0.3, 1.0]
+
+
 class TestConcaveTransforms:
     def test_param_validation(self):
         with pytest.raises(ConcavityError):
