@@ -302,9 +302,7 @@ def cmd_sweep(opts: _Options) -> str:
         if isinstance(raw_values, str):
             tokens = [t for t in raw_values.split(",") if t.strip()]
         else:
-            tokens = list(raw_values)
-        if not tokens:
-            raise ParseError("sweep grid is empty")
+            tokens = raw_values
         try:
             values = [float(t) for t in tokens]
         except (TypeError, ValueError):

@@ -20,11 +20,11 @@ grid point, in grid order, that violates the condition beyond the slack.
 Each condition is evaluated in one array pass per agent: the premium
 conditions (ii)/(iii) solve every scenario of the grid at once through
 the array kernels of premia, and only the reported witness is built as
-a dict; condition (iv) inverts a weighting's whole grid in one array
-inverse() call (tk: one lockstep root find) and a utility's point by
-point.  The numbers are those of the per-point scalar kernels, bit for
-bit; a grid with a bad point raises what the scalar kernels raise at
-the first such point.
+a dict; condition (iv) inverts the whole grid of a weighting or a
+utility in one array inverse() call (tk: one lockstep root find).  The
+numbers are those of the per-point scalar kernels, bit for bit; a grid
+with a bad point raises what the scalar kernels raise at the first such
+point.
 
 Ties within the comparison slack are reported as holding marginally
 rather than failing, since strict-inequality boundary cases are
@@ -413,8 +413,13 @@ def quadruple_sample(
     Deterministic edge-adjacent and spanning cases come first; the rest
     cycles through three seeded draw schemes: one point per quartile band
     (stratified coverage), free sorted uniforms, and tied-middle triples
-    (the q = r boundary of the ordering).
+    (the q = r boundary of the ordering).  GridError for a negative n or
+    seed; n = 0 gives an empty sample.
     """
+    if n < 0:
+        raise GridError(f"cross-ratio sample size must be non-negative, got {n}")
+    if seed < 0:
+        raise GridError(f"sampling seed must be non-negative, got {seed}")
     span = hi - lo
     units = [
         (1e-3, 2e-3, 2e-3, 3e-3),

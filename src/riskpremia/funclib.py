@@ -3,24 +3,24 @@ concave transforms, all with analytic derivatives and inverses.
 
 Conventions:
 
-- A utility function U is strictly increasing and twice continuously
-  differentiable on an open interval; u.value/u.d1/u.d2 are the analytic
-  U, U', U''.  Derivatives are never computed numerically here; difference
-  quotients exist only as test oracles.
-- A weighting function h maps [0, 1] onto itself with h(0) = 0, h(1) = 1
-  and h' > 0 on (0, 1).  Endpoint values are returned exactly; derivative
-  queries at the endpoints are domain errors (they diverge for some
-  families).
+- Utilities, weightings and transforms are one abstraction: a strictly
+  increasing, twice continuously differentiable map f of an interval
+  onto an interval, with analytic f.value/f.d1/f.d2 (f, f', f'') and
+  f.inverse.  Derivatives are never computed numerically here;
+  difference quotients exist only as test oracles.
+- A utility function U is defined on an open interval of payoffs.
+- A weighting function h is a unit map: it sends [0, 1] onto itself with
+  h(0) = 0, h(1) = 1 and h' > 0 on (0, 1).  value and inverse accept the
+  closed interval and return the endpoints exactly; derivative queries
+  at the endpoints are domain errors (they diverge for some families).
 - h.dual is the decumulative companion 1 - h(1 - p).
-- Inverses: u.inverse takes one utility value at a time; h.inverse takes
-  a scalar or an array and gives the scalar's bits at every point.
-  Closed-form families invert an array point by point in math (a numpy
-  ufunc would change bits); tk solves all interior targets in one
+- Inverses take a scalar or an array and give the scalar's bits at every
+  point.  Closed-form families invert an array point by point in math (a
+  numpy ufunc would change bits); tk solves all interior targets in one
   lockstep root find (numerics.find_roots).
-- A ConcaveTransform T is a strictly increasing, strictly concave map of
-  [0, 1] onto itself; concavify(h, T) builds the composition T(h(p)) with
-  chain-rule derivatives.  Composing with any valid T raises the curvature
-  index -h''/h' everywhere.
+- A ConcaveTransform T is a strictly concave weighting; concavify(h, T)
+  builds the composition T(h(p)) with chain-rule derivatives.  Composing
+  with any valid T raises the curvature index -h''/h' everywhere.
 
 Monotonicity is enforced twice: through parameter constraints (e.g. the
 Tversky-Kahneman family is rejected below its curvature threshold) and
@@ -42,6 +42,7 @@ from .errors import (
     MonotonicityError,
     ParseError,
     RangeError,
+    RiskPremiaError,
 )
 from .numerics import RootSpec, find_root, find_roots
 
@@ -70,47 +71,66 @@ def _scalar_or_array(out: np.ndarray, like: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Utility functions
+# The shared base
 # ---------------------------------------------------------------------------
 
 
-class UtilityFn:
-    """Base class for payoff utilities.
+class _MonotoneFn:
+    """Strictly increasing map with analytic derivatives and an inverse.
 
-    Subclasses implement the analytic forms on the open interval
-    self.domain; value/d1/d2 accept scalars or numpy arrays, inverse is
-    scalar-only.  U' > 0 is checked on a dense grid at construction.
+    Subclasses implement _value/_d1/_d2 on arrays inside self.domain and
+    _inverse on one float inside self.codomain.  value/d1/d2/inverse
+    accept scalars or numpy arrays; an array inverse has the bits of the
+    scalar inverse at every point.  Endpoint policy: a unit map sends
+    [0, 1] onto itself, so its value and inverse also accept the
+    endpoints and return them exactly; d1/d2 take the open interval
+    only, and every other map takes open intervals throughout.  f' > 0
+    is checked on a dense grid at construction.
     """
 
     family: ClassVar[str] = ""
+    _unit: ClassVar[bool] = False
+    _symbol: ClassVar[str] = ""  # f's name in the construction-check message
 
     @property
     def domain(self) -> tuple[float, float]:
-        """Open interval on which U is defined and strictly increasing."""
+        """Open interval on which f is defined and strictly increasing."""
         return (-_INF, _INF)
 
     @property
     def codomain(self) -> tuple[float, float]:
-        """Open interval of attainable utility values."""
+        """Open interval of attainable values."""
         return (-_INF, _INF)
 
     @property
     def spec(self) -> str:
-        """Compact string form, parseable by parse_utility."""
+        """Compact string form, parseable by the family's parse_* function."""
         return self.family
 
-    def _check_domain(self, x) -> np.ndarray:
+    def _outside_domain(self, closed: bool) -> RiskPremiaError:
+        raise NotImplementedError
+
+    def _outside_range(self, t: float) -> RiskPremiaError:
+        raise NotImplementedError
+
+    def _check_domain(self, x, closed: bool = False) -> np.ndarray:
         arr = _as_array(x)
         lo, hi = self.domain
-        if not bool(np.all((arr > lo) & (arr < hi))):
-            raise DomainError(
-                f"payoff outside domain ({lo:g}, {hi:g}) of {self.spec}"
-            )
+        ok = (arr >= lo) & (arr <= hi) if closed else (arr > lo) & (arr < hi)
+        if not bool(np.all(ok)):
+            raise self._outside_domain(closed)
         return arr
 
     def value(self, x):
-        arr = self._check_domain(x)
-        return _scalar_or_array(self._value(arr), arr)
+        arr = self._check_domain(x, closed=self._unit)
+        if not self._unit:
+            return _scalar_or_array(self._value(arr), arr)
+        out = np.empty(arr.shape, dtype=float)
+        interior = (arr > 0.0) & (arr < 1.0)
+        out[~interior] = arr[~interior]  # f(0) = 0, f(1) = 1 exactly
+        if np.any(interior):
+            out[interior] = self._value(arr[interior])
+        return _scalar_or_array(out, arr)
 
     def d1(self, x):
         arr = self._check_domain(x)
@@ -120,14 +140,24 @@ class UtilityFn:
         arr = self._check_domain(x)
         return _scalar_or_array(self._d2(arr), arr)
 
-    def inverse(self, t: float) -> float:
+    def inverse(self, t):
         lo, hi = self.codomain
-        t = float(t)
-        if not (lo < t < hi) or not math.isfinite(t):
-            raise RangeError(
-                f"utility value {t:g} outside range ({lo:g}, {hi:g}) of {self.spec}"
-            )
-        return self._inverse(t)
+        # isinstance first: np.ndim costs ~2 us on a float
+        if isinstance(t, float) or np.ndim(t) == 0:
+            t = float(t)
+            if lo < t < hi:
+                return self._inverse(t)
+            if self._unit and (t == lo or t == hi):
+                return t
+            raise self._outside_range(t)
+        arr = np.array(t, dtype=float)
+        interior = (arr > lo) & (arr < hi)
+        ok = interior | (arr == lo) | (arr == hi) if self._unit else interior
+        if not ok.all():
+            raise self._outside_range(float(arr[~ok][0]))
+        if interior.any():  # a unit map's endpoints stay exact in the copy
+            arr[interior] = self._inverse_array(arr[interior])
+        return arr
 
     def _value(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -141,6 +171,44 @@ class UtilityFn:
     def _inverse(self, t: float) -> float:
         raise NotImplementedError
 
+    def _inverse_array(self, t: np.ndarray) -> np.ndarray:
+        # closed forms stay per point in math: a numpy ufunc changes bits
+        return np.array([self._inverse(v) for v in t.tolist()])
+
+    def _validation_grid(self) -> np.ndarray:
+        raise NotImplementedError
+
+    def _check_increasing(self) -> None:
+        # smoke test; the real guarantee is the per-family parameter check
+        d = self._d1(self._validation_grid())
+        if not (np.all(np.isfinite(d)) and np.all(d > 0.0)):
+            raise MonotonicityError(
+                f"{self._symbol}' <= 0 on validation grid for {self.spec}"
+            )
+
+
+# ---------------------------------------------------------------------------
+# Utility functions
+# ---------------------------------------------------------------------------
+
+
+class UtilityFn(_MonotoneFn):
+    """Base class for payoff utilities U on an open interval of payoffs."""
+
+    _symbol: ClassVar[str] = "U"
+    # bench/tracing.py wraps these four from this class's own __dict__
+    value, d1, d2, inverse = _MonotoneFn.value, _MonotoneFn.d1, _MonotoneFn.d2, _MonotoneFn.inverse
+
+    def _outside_domain(self, closed):
+        lo, hi = self.domain
+        return DomainError(f"payoff outside domain ({lo:g}, {hi:g}) of {self.spec}")
+
+    def _outside_range(self, t):
+        lo, hi = self.codomain
+        return RangeError(
+            f"utility value {t:g} outside range ({lo:g}, {hi:g}) of {self.spec}"
+        )
+
     def _validation_window(self) -> tuple[float, float]:
         lo, hi = self.domain
         if math.isinf(lo) and math.isinf(hi):
@@ -152,12 +220,8 @@ class UtilityFn:
         span = hi - lo
         return (lo + 1e-3 * span, hi - 1e-3 * span)
 
-    def _check_increasing(self) -> None:
-        # smoke test; the real guarantee is the per-family parameter check
-        grid = np.linspace(*self._validation_window(), 1001)
-        d = self._d1(grid)
-        if not (np.all(np.isfinite(d)) and np.all(d > 0.0)):
-            raise MonotonicityError(f"U' <= 0 on validation grid for {self.spec}")
+    def _validation_grid(self):
+        return np.linspace(*self._validation_window(), 1001)
 
 
 @dataclass(frozen=True)
@@ -357,94 +421,38 @@ class QuadraticUtility(UtilityFn):
 # ---------------------------------------------------------------------------
 
 
-class WeightingFn:
-    """Base class for probability distortions on [0, 1].
+class WeightingFn(_MonotoneFn):
+    """Base class for probability distortions: unit maps of [0, 1]."""
 
-    value and inverse accept the closed interval, scalars or arrays, and
-    return the endpoints exactly; d1/d2 are defined on the open interval
-    only.  An array inverse has the bits of the scalar inverse at every
-    point.  Construction validates h' > 0 on VALIDATION_GRID.
-    """
-
-    family: ClassVar[str] = ""
+    _unit: ClassVar[bool] = True
+    _symbol: ClassVar[str] = "h"
+    # bench/tracing.py wraps these four and dual from this class's own __dict__
+    value, d1, d2, inverse = _MonotoneFn.value, _MonotoneFn.d1, _MonotoneFn.d2, _MonotoneFn.inverse
 
     @property
-    def spec(self) -> str:
-        return self.family
+    def domain(self):
+        return (0.0, 1.0)
 
-    def _check_unit(self, p, open_interval: bool = False) -> np.ndarray:
-        arr = _as_array(p)
-        if open_interval:
-            ok = np.all((arr > 0.0) & (arr < 1.0))
-        else:
-            ok = np.all((arr >= 0.0) & (arr <= 1.0))
-        if not bool(ok):
-            kind = "(0, 1)" if open_interval else "[0, 1]"
-            raise DomainError(f"probability outside {kind} for {self.spec}")
-        return arr
+    @property
+    def codomain(self):
+        return (0.0, 1.0)
 
-    def value(self, p):
-        arr = self._check_unit(p)
-        out = np.empty(arr.shape, dtype=float)
-        interior = (arr > 0.0) & (arr < 1.0)
-        out[~interior] = arr[~interior]  # h(0) = 0, h(1) = 1 exactly
-        if np.any(interior):
-            out[interior] = self._value(arr[interior])
-        return _scalar_or_array(out, arr)
+    def _outside_domain(self, closed):
+        kind = "[0, 1]" if closed else "(0, 1)"
+        return DomainError(f"probability outside {kind} for {self.spec}")
 
-    def d1(self, p):
-        arr = self._check_unit(p, open_interval=True)
-        return _scalar_or_array(self._d1(arr), arr)
-
-    def d2(self, p):
-        arr = self._check_unit(p, open_interval=True)
-        return _scalar_or_array(self._d2(arr), arr)
-
-    def inverse(self, q):
-        if np.ndim(q) == 0:
-            q = float(q)
-            if not (0.0 <= q <= 1.0) or not math.isfinite(q):
-                raise DomainError(f"distorted probability {q:g} outside [0, 1]")
-            if q == 0.0 or q == 1.0:
-                return q
-            return self._inverse(q)
-        arr = np.array(q, dtype=float)
-        bad = ~((arr >= 0.0) & (arr <= 1.0))
-        if bad.any():
-            q = float(arr[bad][0])
-            raise DomainError(f"distorted probability {q:g} outside [0, 1]")
-        interior = (arr > 0.0) & (arr < 1.0)
-        if interior.any():  # endpoints stay exact in the copy
-            arr[interior] = self._inverse_array(arr[interior])
-        return arr
+    def _outside_range(self, q):
+        return DomainError(f"distorted probability {q:g} outside [0, 1]")
 
     def dual(self, p):
         """Decumulative companion 1 - h(1 - p); involutive and endpoint-exact."""
-        arr = self._check_unit(p)
+        arr = self._check_domain(p, closed=True)
         return _scalar_or_array(
             np.asarray(1.0 - self.value(1.0 - arr), dtype=float), arr
         )
 
-    def _value(self, p: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _d1(self, p: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _d2(self, p: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _inverse(self, q: float) -> float:
-        raise NotImplementedError
-
-    def _inverse_array(self, q: np.ndarray) -> np.ndarray:
-        # closed forms stay per point in math: a numpy ufunc changes bits
-        return np.array([self._inverse(v) for v in q.tolist()])
-
-    def _check_increasing(self) -> None:
-        d = self._d1(VALIDATION_GRID)
-        if not (np.all(np.isfinite(d)) and np.all(d > 0.0)):
-            raise MonotonicityError(f"h' <= 0 on validation grid for {self.spec}")
+    def _validation_grid(self):
+        return VALIDATION_GRID
 
 
 @dataclass(frozen=True)
@@ -619,74 +627,20 @@ class TkWeighting(WeightingFn):
 # ---------------------------------------------------------------------------
 
 
-class ConcaveTransform:
-    """Strictly increasing, strictly concave map of [0, 1] onto itself.
-
-    T(0) = 0 and T(1) = 1 exactly; T' > 0 and T'' < 0 are verified on the
-    validation grid at construction.  Composing a weighting function with
-    any such T raises its curvature index -h''/h' pointwise.
+class ConcaveTransform(WeightingFn):
+    """Strictly concave weighting: T(0) = 0, T(1) = 1 exactly, with T' > 0
+    and T'' < 0 verified on the validation grid at construction.
+    Composing a weighting function with any such T raises its curvature
+    index -h''/h' pointwise.
     """
 
-    family: ClassVar[str] = ""
-
-    @property
-    def spec(self) -> str:
-        return self.family
-
-    def _check_unit(self, t, open_interval: bool = False) -> np.ndarray:
-        arr = _as_array(t)
-        ok = (
-            np.all((arr > 0.0) & (arr < 1.0))
-            if open_interval
-            else np.all((arr >= 0.0) & (arr <= 1.0))
-        )
-        if not bool(ok):
-            raise DomainError(f"transform argument outside unit interval for {self.spec}")
-        return arr
-
-    def value(self, t):
-        arr = self._check_unit(t)
-        out = np.empty(arr.shape, dtype=float)
-        interior = (arr > 0.0) & (arr < 1.0)
-        out[~interior] = arr[~interior]
-        if np.any(interior):
-            out[interior] = self._value(arr[interior])
-        return _scalar_or_array(out, arr)
-
-    def d1(self, t):
-        arr = self._check_unit(t, open_interval=True)
-        return _scalar_or_array(self._d1(arr), arr)
-
-    def d2(self, t):
-        arr = self._check_unit(t, open_interval=True)
-        return _scalar_or_array(self._d2(arr), arr)
-
-    def inverse(self, q: float) -> float:
-        q = float(q)
-        if not (0.0 <= q <= 1.0):
-            raise DomainError(f"transform inverse argument {q:g} outside [0, 1]")
-        if q == 0.0 or q == 1.0:
-            return q
-        return self._inverse(q)
-
-    def _value(self, t: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _d1(self, t: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _d2(self, t: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _inverse(self, q: float) -> float:
-        raise NotImplementedError
+    _symbol: ClassVar[str] = "T"
+    # bench/tracing.py wraps these four from this class's own __dict__
+    value, d1, d2, inverse = _MonotoneFn.value, _MonotoneFn.d1, _MonotoneFn.d2, _MonotoneFn.inverse
 
     def _check_shape(self) -> None:
-        d1 = self._d1(VALIDATION_GRID)
-        if not (np.all(np.isfinite(d1)) and np.all(d1 > 0.0)):
-            raise MonotonicityError(f"T' <= 0 on validation grid for {self.spec}")
-        d2 = self._d2(VALIDATION_GRID)
-        if not np.all(d2 < 0.0):
+        self._check_increasing()
+        if not np.all(self._d2(VALIDATION_GRID) < 0.0):
             raise ConcavityError(f"T'' >= 0 on validation grid for {self.spec}")
 
 
@@ -822,10 +776,10 @@ class ComposedWeighting(WeightingFn):
         return self.transform.d2(h) * hp * hp + self.transform.d1(h) * self.base._d2(p)
 
     def _inverse(self, q):
+        # a scalar or an array: the transform and the base each invert both
         return self.base.inverse(self.transform.inverse(q))
 
-    def _inverse_array(self, q):
-        return self.base.inverse(np.array([self.transform.inverse(v) for v in q.tolist()]))
+    _inverse_array = _inverse
 
 
 def concavify(g: WeightingFn, transform: ConcaveTransform) -> ComposedWeighting:

@@ -290,6 +290,20 @@ class TestCompare:
         assert code == 2
         assert err.startswith("error: input:")
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--samples", "-3", "cross-ratio sample size must be non-negative, got -3"),
+            ("--seed", "-1", "sampling seed must be non-negative, got -1"),
+        ],
+    )
+    def test_negative_sample_size_or_seed_exits_2(self, capsys, flag, value, message):
+        code, out, err = run_cli(
+            capsys, "compare", "--weighting2", "power:0.5", flag, value,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: input: {message}\n"
+
 
 class TestConfigAndOutput:
     def test_config_overrides_flag_with_warning(self, capsys, tmp_path):
@@ -326,13 +340,21 @@ class TestConfigAndOutput:
         assert code == 0
         assert json.loads(out)["dm"] == "u=cara:1 h=power:0.7@prelec:0.65,1"
 
-    def test_non_string_premium_in_config_exits_2(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "config, argv, message",
+        [
+            ({"premium": ["pi"]}, ["convergence"], "convergence requires --premium"),
+            ({"values": 0.5}, ["sweep", "--axis", "eps1"], "bad --values list: 0.5"),
+        ],
+        ids=["premium list", "scalar values"],
+    )
+    def test_non_string_premium_in_config_exits_2(self, capsys, tmp_path, config, argv, message):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"premium": ["pi"]}))
-        code, out, err = run_cli(capsys, "convergence", "--config", str(cfg))
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
         assert code == 2
         assert out == ""
-        assert err.startswith("error: input: convergence requires --premium")
+        assert err.startswith(f"error: input: {message}")
         assert err.count("\n") == 1
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):

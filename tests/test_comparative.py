@@ -149,6 +149,16 @@ class TestCrossRatio:
         for p, q, r, s in quadruple_sample(500, seed=5):
             assert 0.0 < p < q <= r < s < 1.0
 
+    @pytest.mark.parametrize("n, seed", [(-3, 0), (-1, 1), (10, -1)])
+    def test_negative_sample_size_or_seed_rejected(self, n, seed):
+        with pytest.raises(GridError, match="must be non-negative"):
+            quadruple_sample(n, seed=seed)
+
+    def test_empty_sample_rejected_by_the_check(self):
+        assert quadruple_sample(0, seed=0) == []
+        with pytest.raises(GridError, match="empty cross-ratio sample"):
+            check_cross_ratio(PRELEC, PRELEC, quadruple_sample(0, seed=0))
+
 
 class TestTheorem1Report:
     def test_concavified_pair_all_hold_and_reversed_all_fail(self):

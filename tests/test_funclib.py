@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,10 @@ from riskpremia import (
     PrelecWeighting,
     QuadraticUtility,
     RangeError,
+    RiskPremiaError,
     TkWeighting,
+    UtilityFn,
+    WeightingFn,
     concavify,
     parse_transform,
     parse_utility,
@@ -266,44 +271,105 @@ class TestWeightingFamilies:
 
 
 # every weighting kind, including composites over tk and a composite of a
-# composite, for the array inverse
+# composite, then utilities ("utility SPEC") and bare transforms
+# ("transform SPEC"), for the array inverse
 ARRAY_INVERSE_SPECS = [
     "identity", "power:0.5", "power:2.5", "prelec:0.65,1", "prelec:1.5,0.7",
     "tk:0.28", "tk:0.61", "tk:1.5", "power:0.5@tk:0.61", "exp:2@tk:0.9",
     "blend:0.3@tk:1.2", "blend:1@power:2", "power:0.7@prelec:0.65,1",
     "power:0.5@power:0.3@tk:0.7",
+    "utility cara:1", "utility crra:2", "utility crra:0.5", "utility log",
+    "utility quadratic:0.2",
+    "transform power:0.5", "transform exp:2", "transform blend:0.6", "transform blend:1",
 ]
+
+
+def _parse_any(spec):
+    kind, _, text = spec.rpartition(" ")
+    return {"": parse_weighting, "utility": parse_utility, "transform": parse_transform}[kind](text)
+
+
+def _inverse_targets(f):
+    """97 targets plus edge cases inside the range of f's inverse."""
+    if isinstance(f, UtilityFn):
+        lo, hi = f.domain
+        x = np.linspace(max(lo, -3.0) + 0.01, min(hi, 5.0) - 0.01, 97)
+        ends = (lo + 1e-3 if math.isfinite(lo) else -20.0, hi - 1e-3 if math.isfinite(hi) else 30.0)
+        return np.concatenate([f.value(x), f.value(np.array(ends))])
+    specials = [0.0, 1.0, 5e-324, 1e-320, 1e-300, 1e-16, 0.5, 1.0 - 1e-16, 0.0, 1.0]
+    return np.concatenate([np.linspace(0.0, 1.0, 97), specials])
+
+
+def _bad_targets(f):
+    if isinstance(f, UtilityFn):
+        lo, hi = f.codomain
+        ends = [v for v in (lo, hi, lo - 1.0, hi + 1.0) if math.isfinite(v)]
+        return (*ends, math.nan, math.inf, -math.inf)
+    return (1.5, -0.25, math.nan, math.inf)
 
 
 class TestArrayInverse:
     @pytest.mark.parametrize("spec", ARRAY_INVERSE_SPECS)
     def test_bits_of_the_scalar_inverse(self, spec):
-        h = parse_weighting(spec)
-        specials = [0.0, 1.0, 5e-324, 1e-320, 1e-300, 1e-16, 0.5, 1.0 - 1e-16, 0.0, 1.0]
-        q = np.concatenate([np.linspace(0.0, 1.0, 97), specials])
-        got = h.inverse(q)
-        want = np.array([h.inverse(float(t)) for t in q])
+        f = _parse_any(spec)
+        q = _inverse_targets(f)
+        got = f.inverse(q)
+        want = np.array([f.inverse(float(t)) for t in q])
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
-        # shape kept; endpoints exact
-        grid = h.inverse(q[:96].reshape(8, 12))
+        # shape kept
+        grid = f.inverse(q[:96].reshape(8, 12))
         assert grid.shape == (8, 12)
         assert grid.view(np.int64).tolist() == want[:96].reshape(8, 12).view(np.int64).tolist()
-        assert h.inverse(np.array([0.0, 1.0])).tolist() == [0.0, 1.0]
+        if not isinstance(f, UtilityFn):  # endpoints of a unit map exact
+            assert f.inverse(np.array([0.0, 1.0])).tolist() == [0.0, 1.0]
 
-    @pytest.mark.parametrize("spec", ["power:0.5", "tk:0.61", "power:0.5@tk:0.61"])
+    @pytest.mark.parametrize("spec", [
+        "power:0.5", "tk:0.61", "power:0.5@tk:0.61", "utility cara:1", "utility crra:2",
+        "utility crra:0.5", "utility log", "utility quadratic:0.2",
+        "transform power:0.5", "transform exp:2", "transform blend:0.6", "transform blend:1",
+    ])
     def test_first_bad_target_raises_the_scalar_message(self, spec):
-        h = parse_weighting(spec)
-        for bad in (1.5, -0.25, math.nan, math.inf):
-            with pytest.raises(DomainError) as scalar:
-                h.inverse(bad)
-            with pytest.raises(DomainError) as array:
-                h.inverse(np.array([0.2, bad, 2.0, 0.7]))
+        f = _parse_any(spec)
+        good = float(_inverse_targets(f)[40])
+        for bad in _bad_targets(f):
+            with pytest.raises(RiskPremiaError) as scalar:
+                f.inverse(bad)
+            with pytest.raises(RiskPremiaError) as array:
+                f.inverse(np.array([good, bad, 2.0, -2.0, good]))
+            assert type(array.value) is type(scalar.value)
             assert str(array.value) == str(scalar.value)
 
     def test_input_not_modified(self):
         q = np.array([0.0, 0.3, 1.0])
         TkWeighting(gamma=0.61).inverse(q)
         assert q.tolist() == [0.0, 0.3, 1.0]
+
+
+# The type and message of every domain and range error of utilities and
+# weightings, and the result bits where the input is accepted (endpoints
+# included): value/d1/d2/inverse (and a weighting's dual) on inputs below,
+# at and above each end of the domain or range, NaN and +-inf, as a scalar
+# and as the second element of an array.  Recorded in
+# tests/data/funclib_errors.json.
+FUNCLIB_ERRORS = json.loads((Path(__file__).parent / "data" / "funclib_errors.json").read_text())
+
+
+def _call_outcome(f, method, arg):
+    x = float(arg) if isinstance(arg, str) else np.array([float(a) for a in arg])
+    try:
+        with np.errstate(all="ignore"):  # derivatives overflow near 0 and 1
+            out = getattr(f, method)(x)
+    except RiskPremiaError as exc:
+        return [type(exc).__name__, str(exc)]
+    return [float(v).hex() for v in np.atleast_1d(out).tolist()]
+
+
+@pytest.mark.parametrize("entry", FUNCLIB_ERRORS, ids=lambda entry: entry["spec"])
+def test_domain_and_range_errors_as_recorded(entry):
+    parse = parse_utility if entry["kind"] == "utility" else parse_weighting
+    f = parse(entry["spec"])
+    got = [_call_outcome(f, method, arg) for method, arg, _ in entry["calls"]]
+    assert got == [outcome for _, _, outcome in entry["calls"]]
 
 
 class TestConcaveTransforms:
@@ -318,6 +384,16 @@ class TestConcaveTransforms:
             parse_transform("blend:0")
         with pytest.raises(ConcavityError):
             parse_transform("blend:1.2")
+
+    def test_a_transform_is_a_weighting_with_its_errors(self):
+        T = parse_transform("power:0.5")
+        assert isinstance(T, WeightingFn)
+        with pytest.raises(DomainError, match=r"^probability outside \[0, 1\] for power:0.5$"):
+            T.value(1.5)
+        with pytest.raises(DomainError, match=r"^probability outside \(0, 1\) for power:0.5$"):
+            T.d1(0.0)
+        with pytest.raises(DomainError, match=r"^distorted probability 1.5 outside \[0, 1\]$"):
+            T.inverse(1.5)
 
     @pytest.mark.parametrize("spec", ["power:0.5", "exp:2", "blend:0.6"])
     def test_shape_and_inverse(self, spec):
