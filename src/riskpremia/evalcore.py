@@ -10,6 +10,13 @@ distribution over the rank-sorted support.  With identity h this is
 expected utility; with linear U it is the dual-theory functional.  The
 equivalent decumulative form distorts survival probabilities through
 hbar(p) = 1 - h(1 - p) instead and agrees up to rounding.
+
+A Lottery is put in canonical form once, in one array pass: the states
+become an (n, 2) float array, are checked, stably sorted by payoff, and
+runs of equal payoffs are merged with their probabilities summed in
+sorted input order.  The sorted payoff and probability arrays are kept
+read-only on the lottery for the evaluators; its payoffs and probs
+properties hand out copies.
 """
 
 from __future__ import annotations
@@ -17,8 +24,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -30,51 +37,114 @@ from .funclib import UtilityFn, WeightingFn
 PROB_SUM_TOL = 1e-12
 
 
+def _state_rows(states) -> np.ndarray:
+    """The states as an (n, 2) float array, with the bits and the errors
+    of float(raw[0]), float(raw[1]) for every entry raw."""
+    if set(map(type, states)) <= {tuple, list} and set(map(len, states)) == {2}:
+        # one C-level pass: numpy converts each item as float() does, but
+        # reads None as nan, so any non-finite value goes the slow way
+        try:
+            rows = np.fromiter(chain.from_iterable(states), float, 2 * len(states))
+        except Exception:
+            pass  # redone entry by entry below, where the first bad one raises
+        else:
+            if np.isfinite(rows).all():
+                return rows.reshape(-1, 2)
+    converted = []
+    for raw in states:
+        try:
+            converted.append((float(raw[0]), float(raw[1])))
+        except Exception:
+            # an earlier bad entry decides the error
+            _check_entries(np.array(converted, dtype=float).reshape(-1, 2))
+            raise
+    return np.array(converted, dtype=float).reshape(-1, 2)
+
+
+def _check_entries(rows: np.ndarray) -> None:
+    """Raise for the first state that is non-finite or whose probability
+    lies outside (0, 1]."""
+    xs, ps = rows[:, 0], rows[:, 1]
+    finite = np.isfinite(xs) & np.isfinite(ps)
+    bad = ~(finite & (ps > 0.0) & (ps <= 1.0))
+    if bad.any():
+        i = int(bad.argmax())
+        if not finite[i]:
+            raise DomainError("non-finite lottery state")
+        raise DomainError(f"state probability {float(ps[i]):g} outside (0, 1]")
+
+
+def _merge_equal_payoffs(xs: np.ndarray, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Keep the first payoff of each run of equal sorted payoffs and sum
+    the run's probabilities left to right, as a running total would
+    (np.add.reduceat sums long runs pairwise and changes the bits)."""
+    first = np.concatenate(([True], xs[1:] != xs[:-1]))
+    if first.all():
+        return xs, ps
+    starts = np.flatnonzero(first)
+    ends = np.append(starts[1:], len(xs))
+    merged = ps[starts]
+    probs = ps.tolist()
+    for j in np.flatnonzero(ends - starts > 1).tolist():
+        run = probs[starts[j]:ends[j]]
+        total = run[0]
+        for p in run[1:]:
+            total += p
+        merged[j] = total
+    return xs[starts], merged
+
+
 @dataclass(frozen=True)
 class Lottery:
     """An n-state risk in canonical form.
 
-    Construction sorts states by payoff ascending and merges exactly equal
-    payoffs by summing their probabilities, so evaluation is independent of
+    Construction is one array pass: it stably sorts states by payoff
+    ascending and merges exactly equal payoffs, summing their
+    probabilities in sorted input order, so evaluation is independent of
     the input state order.  Probabilities must lie in (0, 1] and sum to 1
-    within PROB_SUM_TOL.
+    within PROB_SUM_TOL; the first bad state decides the error.  states
+    may be any iterable of (payoff, probability, ...) entries; only the
+    first two items of an entry are read.  payoffs and probs return
+    fresh copies of the canonical arrays.
     """
 
     states: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        pairs = []
-        total = 0.0
-        for raw in self.states:
-            x, p = float(raw[0]), float(raw[1])
-            if not (math.isfinite(x) and math.isfinite(p)):
-                raise DomainError("non-finite lottery state")
-            if not 0.0 < p <= 1.0:
-                raise DomainError(f"state probability {p:g} outside (0, 1]")
-            pairs.append((x, p))
-            total += p
-        if not pairs:
+        rows = _state_rows(tuple(self.states))  # a generator is read once
+        _check_entries(rows)
+        if len(rows) == 0:
             raise DomainError("lottery needs at least one state")
+        xs, ps = rows[:, 0], rows[:, 1]
+        total = float(np.cumsum(ps)[-1])  # sequential: the bits of a running total
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise DomainError(
                 f"probabilities sum to {total:.17g}, not 1 within {PROB_SUM_TOL:g}"
             )
-        pairs.sort(key=lambda s: s[0])
-        merged: list[list[float]] = []
-        for x, p in pairs:
-            if merged and merged[-1][0] == x:
-                merged[-1][1] += p
-            else:
-                merged.append([x, p])
-        object.__setattr__(self, "states", tuple((x, p) for x, p in merged))
+        # distinct payoffs have one sorted order, which the fast unstable
+        # sort finds; ties (-0.0 == 0.0 included) keep input order
+        order = np.argsort(xs)
+        sorted_xs = xs[order]
+        if (sorted_xs[1:] == sorted_xs[:-1]).any():
+            order = np.argsort(xs, kind="stable")
+        xs, ps = _merge_equal_payoffs(xs[order], ps[order])
+        xs.setflags(write=False)
+        ps.setflags(write=False)
+        # a record array's tolist() builds the (payoff, probability) float
+        # tuples in C, faster than zipping two lists
+        records = np.empty(len(xs), [("x", float), ("p", float)])
+        records["x"], records["p"] = xs, ps
+        object.__setattr__(self, "states", tuple(records.tolist()))
+        object.__setattr__(self, "_payoffs", xs)
+        object.__setattr__(self, "_probs", ps)
 
     @property
     def payoffs(self) -> np.ndarray:
-        return np.array([x for x, _ in self.states])
+        return self._payoffs.copy()
 
     @property
     def probs(self) -> np.ndarray:
-        return np.array([p for _, p in self.states])
+        return self._probs.copy()
 
     @property
     def n_states(self) -> int:
@@ -156,21 +226,20 @@ def _decision_weights_cumulative(h: WeightingFn, probs: np.ndarray) -> np.ndarra
 def evaluate_rdu(dm: DecisionMaker, lottery: Lottery) -> float:
     """Rank-dependent value: decision-weighted sum of utilities over the
     sorted support."""
-    utils = dm.utility.value(lottery.payoffs)
-    weights = _decision_weights_cumulative(dm.weighting, lottery.probs)
+    utils = dm.utility.value(lottery._payoffs)
+    weights = _decision_weights_cumulative(dm.weighting, lottery._probs)
     return float(np.dot(weights, utils))
 
 
 def evaluate_dual_form(dm: DecisionMaker, lottery: Lottery) -> float:
     """Same functional computed by distorting decumulative probabilities
     through hbar(p) = 1 - h(1 - p); agrees with evaluate_rdu to rounding."""
-    probs = lottery.probs
-    cums = np.minimum(np.cumsum(probs), 1.0)
+    cums = np.minimum(np.cumsum(lottery._probs), 1.0)
     cums[-1] = 1.0
     decum = 1.0 - np.concatenate(([0.0], cums))  # survival probabilities
     hbar = dm.weighting.dual(decum)
     weights = hbar[:-1] - hbar[1:]
-    utils = dm.utility.value(lottery.payoffs)
+    utils = dm.utility.value(lottery._payoffs)
     return float(np.dot(weights, utils))
 
 

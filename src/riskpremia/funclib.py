@@ -146,7 +146,12 @@ class _MonotoneFn:
         if isinstance(t, float) or np.ndim(t) == 0:
             t = float(t)
             if lo < t < hi:
-                return self._inverse(t)
+                try:
+                    return self._inverse(t)
+                except OverflowError:
+                    raise RangeError(
+                        f"inverse of {t:g} overflows the float range for {self.spec}"
+                    ) from None
             if self._unit and (t == lo or t == hi):
                 return t
             raise self._outside_range(t)
@@ -156,7 +161,14 @@ class _MonotoneFn:
         if not ok.all():
             raise self._outside_range(float(arr[~ok][0]))
         if interior.any():  # a unit map's endpoints stay exact in the copy
-            arr[interior] = self._inverse_array(arr[interior])
+            try:
+                arr[interior] = self._inverse_array(arr[interior])
+            except OverflowError:
+                # the array inverse has the scalar bits, so the first target
+                # whose scalar inverse overflows names the error
+                for v in arr[interior].tolist():
+                    self.inverse(v)
+                raise
         return arr
 
     def _value(self, x: np.ndarray) -> np.ndarray:

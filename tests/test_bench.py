@@ -1,5 +1,5 @@
-"""Smoke tests of the benchmark runner: one short untraced and one short
-traced run end to end.
+"""Smoke tests of the benchmark runner: short untraced and traced runs end
+to end.
 
 They check the runner's output contract only; they assert nothing about
 timings.
@@ -13,13 +13,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run(trace: int) -> dict:
-    """One short theorem-check run; its final JSON line."""
+def _run(trace: int, workload: str = "theorem-check") -> dict:
+    """One short run of a workload; its final JSON line."""
     proc = subprocess.run(
         [
             sys.executable,
             "bench/run.py",
-            "--workload", "theorem-check",
+            "--workload", workload,
             "--seed", "1",
             "--seconds", "0.3",
             "--trace", str(trace),
@@ -48,3 +48,11 @@ def test_runner_reports_every_end_to_end_metric():
 def test_traced_run_reports_every_per_layer_metric():
     # the tracer patches funclib/numerics names; a rename breaks this run
     assert _declared("per_layer") <= set(_run(trace=1)["metrics"])
+
+
+def test_traced_lottery_eval_counts_every_build():
+    # each operation builds one Lottery and evaluates it three ways
+    metrics = _run(trace=1, workload="lottery-eval")["metrics"]
+    builds = metrics["evalcore.lottery_builds"]["value"]
+    assert builds > 0
+    assert metrics["evalcore.evaluate_calls"]["value"] == 3 * builds

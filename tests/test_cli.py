@@ -404,12 +404,15 @@ def test_module_entrypoint_runs():
     assert proc.stdout.startswith("x0,p0,")
 
 
-GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+DATA = Path(__file__).parent / "data"
+GOLDEN = json.loads((DATA / "cli_golden.json").read_text())
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
-def test_golden_output(capsys, case):
-    """premia, sweep and convergence stdout, byte for byte as recorded."""
+def test_golden_output(capsys, monkeypatch, case):
+    """premia, sweep, convergence and eval stdout, byte for byte as
+    recorded; eval's lottery files are named relative to tests/data."""
+    monkeypatch.chdir(DATA)
     code, out, _ = run_cli(capsys, *case["argv"])
     assert code == case["exit_code"]
     assert out == case["stdout"]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskpremia import (
     CaraUtility,
@@ -16,6 +18,7 @@ from riskpremia import (
     evaluate_dual_form,
     evaluate_rdu,
 )
+from riskpremia.evalcore import PROB_SUM_TOL
 from conftest import random_dm
 
 DM_ID = DecisionMaker(LinearUtility(), IdentityWeighting())
@@ -158,3 +161,206 @@ class TestEvaluation:
         dm_log = DecisionMaker(LogUtility(), IdentityWeighting())
         with pytest.raises(DomainError):
             evaluate_rdu(dm_log, Lottery(((-1.0, 0.5), (1.0, 0.5))))
+
+
+# ---------------------------------------------------------------------------
+# The canonicalisation contract, pinned against the original per-state loop
+# ---------------------------------------------------------------------------
+
+
+def reference_states(states):
+    """Canonical states by the original per-state Lottery loop.
+
+    Kept verbatim as the contract: Lottery must give these states bit for
+    bit, or raise the same error type with the same message.
+    """
+    pairs = []
+    total = 0.0
+    for raw in states:
+        x, p = float(raw[0]), float(raw[1])
+        if not (math.isfinite(x) and math.isfinite(p)):
+            raise DomainError("non-finite lottery state")
+        if not 0.0 < p <= 1.0:
+            raise DomainError(f"state probability {p:g} outside (0, 1]")
+        pairs.append((x, p))
+        total += p
+    if not pairs:
+        raise DomainError("lottery needs at least one state")
+    if abs(total - 1.0) > PROB_SUM_TOL:
+        raise DomainError(
+            f"probabilities sum to {total:.17g}, not 1 within {PROB_SUM_TOL:g}"
+        )
+    pairs.sort(key=lambda s: s[0])
+    merged = []
+    for x, p in pairs:
+        if merged and merged[-1][0] == x:
+            merged[-1][1] += p
+        else:
+            merged.append([x, p])
+    return tuple((x, p) for x, p in merged)
+
+
+def _hex_states(states):
+    return tuple((float.hex(x), float.hex(p)) for x, p in states)
+
+
+def _outcome(build):
+    """("ok", hex states) or (error type, message) of one construction."""
+    try:
+        states = build()
+    except Exception as exc:  # the error itself is the outcome compared
+        return type(exc), str(exc)
+    if isinstance(states, Lottery):
+        lot = states
+        states = lot.states
+        assert all(type(x) is float and type(p) is float for x, p in states)
+        assert lot.payoffs.dtype == np.float64 and lot.probs.dtype == np.float64
+        assert [float.hex(x) for x in lot.payoffs.tolist()] == [float.hex(x) for x, _ in states]
+        assert [float.hex(p) for p in lot.probs.tolist()] == [float.hex(p) for _, p in states]
+    return "ok", _hex_states(states)
+
+
+def _input_forms(states):
+    """Factories of every input form Lottery accepts, each built fresh."""
+    return {
+        "tuple": lambda: tuple(states),
+        "list": lambda: list(states),
+        "generator": lambda: (s for s in states),
+        "ndarray": lambda: np.array(states, dtype=float).reshape(-1, 2),
+        "3-item": lambda: tuple((x, p, "extra") for x, p in states),
+    }
+
+
+def assert_matches_reference(states):
+    for form, make in _input_forms(states).items():
+        got = _outcome(lambda: Lottery(make()))
+        want = _outcome(lambda: reference_states(make()))
+        assert got == want, form
+
+
+def _sequential_sum(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def _ulps_from(x, k):
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+# Few distinct values, so draws carry duplicate runs and -0.0/0.0 ties.
+_PAYOFF_POOL = (-0.0, 0.0, -1.5, 0.25, 1.0, 1e-300, 3.0)
+_SUM_EDGES = (1.0, 1.0 + PROB_SUM_TOL, 1.0 - PROB_SUM_TOL)
+
+
+@st.composite
+def state_lists(draw):
+    n = draw(st.integers(1, 40))
+    payoff = st.one_of(st.sampled_from(_PAYOFF_POOL), st.floats(-1e6, 1e6))
+    xs = draw(st.lists(payoff, min_size=n, max_size=n))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
+    scale = math.fsum(weights)
+    ps = [w / scale for w in weights]
+    if n > 1 and draw(st.booleans()):
+        # aim the sequential total at an acceptance edge, a few ulps off
+        edge = _ulps_from(draw(st.sampled_from(_SUM_EDGES)), draw(st.integers(-3, 3)))
+        ps[-1] = edge - _sequential_sum(ps[:-1])
+    states = list(zip(xs, ps))
+    return draw(st.permutations(states))
+
+
+class TestCanonicalContract:
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(state_lists())
+    def test_matches_reference_loop(self, states):
+        assert_matches_reference(states)
+
+    def test_long_duplicate_run_sums_sequentially(self):
+        # a run of 9 or more is where numpy's pairwise sum departs from the
+        # left-to-right one; find probabilities where it does
+        rng = np.random.default_rng(3)
+        while True:
+            ps = rng.uniform(0.5, 1.0, size=int(rng.integers(9, 40)))
+            ps = (ps / ps.sum()).tolist()
+            seq = _sequential_sum(ps)
+            if seq != float(np.add.reduce(np.array(ps))) and abs(seq - 1.0) <= PROB_SUM_TOL:
+                break
+        states = [(2.5, p) for p in ps] + [(-0.0, 1e-13), (0.0, 1e-13)]
+        states[0] = (2.5, states[0][1] - 2e-13)
+        assert_matches_reference(states)
+        lot = Lottery(tuple((2.5, p) for p in ps))
+        assert _hex_states(lot.states) == _hex_states(((2.5, seq),))
+
+    def test_total_is_summed_left_to_right(self):
+        # 16 states whose running total is the largest accepted one, while
+        # numpy's pairwise sum of the same probabilities would be rejected
+        edge = 1.0 + PROB_SUM_TOL
+        while abs(edge - 1.0) > PROB_SUM_TOL:
+            edge = math.nextafter(edge, 0.0)
+        rng = np.random.default_rng(5)
+        while True:
+            ps = rng.uniform(0.5, 1.0, size=16)
+            ps = (ps / ps.sum()).tolist()
+            ps[-1] = edge - _sequential_sum(ps[:-1])
+            if _sequential_sum(ps) == edge and float(np.add.reduce(np.array(ps))) > edge:
+                break
+        states = [(float(i), p) for i, p in enumerate(ps)]
+        assert_matches_reference(states)
+        assert Lottery(tuple(states)).n_states == 16
+
+    @pytest.mark.parametrize("edge", _SUM_EDGES[1:])
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    def test_sum_tolerance_edges(self, edge, ulps):
+        # 0.5 + (t - 0.5) == t exactly for t near 1, so the total is t itself
+        total = _ulps_from(edge, ulps)
+        states = [(1.0, total - 0.5), (0.0, 0.5)]
+        assert _sequential_sum(p for _, p in states) == total
+        assert_matches_reference(states)
+
+    def test_signed_zero_ties_keep_input_order(self):
+        assert_matches_reference([(0.0, 0.25), (-0.0, 0.25), (1.0, 0.5)])
+        assert_matches_reference([(-0.0, 0.25), (0.0, 0.25), (-1.0, 0.5)])
+        assert math.copysign(1.0, Lottery(((-0.0, 0.5), (0.0, 0.5))).states[0][0]) == -1.0
+
+    @pytest.mark.parametrize(
+        "states, error, message",
+        [
+            ([(0.0, 0.5), (math.nan, 0.5), (1.0, 1.5)], DomainError, "non-finite lottery state"),
+            ([(0.0, 0.5), (1.0, 1.5), (math.inf, 0.5)], DomainError, "state probability 1.5 outside (0, 1]"),
+            ([(0.0, 0.5), (1.0, -0.0)], DomainError, "state probability -0 outside (0, 1]"),
+            ([(0.0, 0.5), ("abc", 0.5)], ValueError, "could not convert string to float: 'abc'"),
+            ([(0.0, 0.5), (None, 0.5)], TypeError, "float() argument must be a string or a real number, not 'NoneType'"),
+            ([(math.inf, 0.5), ("abc", 0.5)], DomainError, "non-finite lottery state"),
+            ([("abc", 0.5), (0.0, 2.0)], ValueError, "could not convert string to float: 'abc'"),
+            ([(0.0, 0.5), (1.0,)], IndexError, "tuple index out of range"),
+            ([], DomainError, "lottery needs at least one state"),
+            ([(0.0, 0.5), (1.0, 0.6)], DomainError, "probabilities sum to 1.1000000000000001, not 1 within 1e-12"),
+        ],
+    )
+    def test_first_bad_entry_decides_the_error(self, states, error, message):
+        for make in (lambda: tuple(states), lambda: iter(states)):
+            with pytest.raises(error) as info:
+                Lottery(make())
+            assert type(info.value) is error and str(info.value) == message
+            assert _outcome(lambda: reference_states(make())) == (error, message)
+
+    def test_odd_but_valid_entries(self):
+        # strings, ints, bools and numpy scalars convert as float() does
+        assert_matches_reference([("0.25", "0.5"), (1, np.float32(0.25)), (True, 0.25)])
+
+    def test_payoffs_and_probs_are_fresh_writable_copies(self):
+        dm = DecisionMaker(CaraUtility(a=1.0), PowerWeighting(theta=0.7))
+        lot = Lottery(((1.0, 0.25), (0.0, 0.75)))
+        value = evaluate_rdu(dm, lot)
+        xs, ps = lot.payoffs, lot.probs
+        assert xs.flags.writeable and ps.flags.writeable
+        assert xs is not lot.payoffs and ps is not lot.probs
+        xs[:] = 99.0
+        ps[:] = 0.0
+        assert lot.states == ((0.0, 0.75), (1.0, 0.25))
+        assert lot.payoffs.tolist() == [0.0, 1.0]
+        assert lot.probs.tolist() == [0.75, 0.25]
+        assert evaluate_rdu(dm, lot) == value

@@ -150,6 +150,22 @@ class TestUtilityFamilies:
         with pytest.raises(RangeError):
             QuadraticUtility(b=0.25).inverse(1.1)
 
+    @pytest.mark.parametrize(
+        "spec, target",
+        [("crra:0.5", 1e300), ("log", 1000.0), ("crra:1", 1000.0), ("crra:2", -1e-320)],
+    )
+    def test_inverse_overflow_is_a_range_error(self, spec, target):
+        # the target lies in the codomain, but its preimage exceeds the floats
+        u = parse_utility(spec)
+        message = f"inverse of {target:g} overflows the float range for {spec}"
+        with pytest.raises(RangeError) as info:
+            u.inverse(target)
+        assert str(info.value) == message
+        inside = -1.0 if target < 0.0 else 1.0
+        with pytest.raises(RangeError) as info:
+            u.inverse(np.array([inside, target]))
+        assert str(info.value) == message
+
     def test_invalid_params(self):
         with pytest.raises(MonotonicityError):
             CaraUtility(a=0.0)
