@@ -121,12 +121,8 @@ class Lottery:
             raise DomainError(
                 f"probabilities sum to {total:.17g}, not 1 within {PROB_SUM_TOL:g}"
             )
-        # distinct payoffs have one sorted order, which the fast unstable
-        # sort finds; ties (-0.0 == 0.0 included) keep input order
-        order = np.argsort(xs)
-        sorted_xs = xs[order]
-        if (sorted_xs[1:] == sorted_xs[:-1]).any():
-            order = np.argsort(xs, kind="stable")
+        # ties (-0.0 == 0.0 included) keep input order, as list.sort did
+        order = np.argsort(xs, kind="stable")
         xs, ps = _merge_equal_payoffs(xs[order], ps[order])
         xs.setflags(write=False)
         ps.setflags(write=False)

@@ -325,6 +325,17 @@ class TestCanonicalContract:
         assert_matches_reference([(-0.0, 0.25), (0.0, 0.25), (-1.0, 0.5)])
         assert math.copysign(1.0, Lottery(((-0.0, 0.5), (0.0, 0.5))).states[0][0]) == -1.0
 
+    def test_long_tied_runs_keep_input_order(self):
+        # numpy's default sort is stable only below 16 elements; long runs of
+        # ties with distinct probabilities and mixed signed zeros show
+        # whether each run keeps input order for its first payoff and sum
+        rng = np.random.default_rng(11)
+        for n in (17, 300, 3000):
+            xs = rng.choice(_PAYOFF_POOL, size=n).tolist()
+            ps = rng.uniform(0.5, 1.0, size=n)
+            states = list(zip(xs, (ps / ps.sum()).tolist()))
+            assert_matches_reference(states)
+
     @pytest.mark.parametrize(
         "states, error, message",
         [
