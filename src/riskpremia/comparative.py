@@ -43,7 +43,7 @@ import numpy as np
 from .errors import GridError, RiskPremiaError
 from .evalcore import DecisionMaker
 from .funclib import UtilityFn, WeightingFn
-from .premia import Scenario, _divide, _inverses, _lambda, _mu, _rho, _sigma
+from .premia import Scenario, _divide, _lambda, _mu, _rho, _sigma
 
 # Comparison slacks: grid conditions (i)/(iv)/(v) and premium dominance.
 INDEX_SLACK = 1e-9
@@ -260,7 +260,7 @@ def check_concave_composition(
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size < 3:
         raise GridError("composition grid needs at least 3 points")
-    g = _on_grid(lambda t: f2.value(_inverses(f1, t)), [t_grid])
+    g = _on_grid(lambda t: f2.value(f1.inverse(t)), [t_grid])
     second = g[:-2] - 2.0 * g[1:-1] + g[2:]
     return _check_margins(
         condition,

@@ -21,6 +21,12 @@ Conventions:
 - A ConcaveTransform T is a strictly concave weighting; concavify(h, T)
   builds the composition T(h(p)) with chain-rule derivatives.  Composing
   with any valid T raises the curvature index -h''/h' everywhere.
+- A family is a frozen dataclass that declares its parameters as fields,
+  its parameter checks in __post_init__ and its formulas.  Everything else
+  derives from the fields: spec prints "family:p1,p2" in field order, and
+  the parse_* functions take the arity from the fields and pass the
+  parameters in that order, so parse_*(f.spec) rebuilds f up to the
+  printed precision.
 
 Monotonicity is enforced twice: through parameter constraints (e.g. the
 Tversky-Kahneman family is rejected below its curvature threshold) and
@@ -31,7 +37,7 @@ construction time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import ClassVar, Mapping, Union
 
 import numpy as np
@@ -86,6 +92,10 @@ class _MonotoneFn:
     endpoints and return them exactly; d1/d2 take the open interval
     only, and every other map takes open intervals throughout.  f' > 0
     is checked on a dense grid at construction.
+
+    A concrete family is a frozen dataclass: its fields are its
+    parameters, __post_init__ checks them, and _value/_d1/_d2/_inverse are
+    its formulas.  spec is built from the fields, never written per family.
     """
 
     family: ClassVar[str] = ""
@@ -104,8 +114,10 @@ class _MonotoneFn:
 
     @property
     def spec(self) -> str:
-        """Compact string form, parseable by the family's parse_* function."""
-        return self.family
+        """Compact string form, parseable by the family's parse_* function:
+        the family name, then ":" and the fields in order, joined by ","."""
+        params = ",".join(_fmt(getattr(self, f.name)) for f in fields(self))
+        return f"{self.family}:{params}" if params else self.family
 
     def _outside_domain(self, closed: bool) -> RiskPremiaError:
         raise NotImplementedError
@@ -141,21 +153,14 @@ class _MonotoneFn:
         return _scalar_or_array(self._d2(arr), arr)
 
     def inverse(self, t):
-        lo, hi = self.codomain
         # isinstance first: np.ndim costs ~2 us on a float
         if isinstance(t, float) or np.ndim(t) == 0:
-            t = float(t)
-            if lo < t < hi:
-                try:
-                    return self._inverse(t)
-                except OverflowError:
-                    raise RangeError(
-                        f"inverse of {t:g} overflows the float range for {self.spec}"
-                    ) from None
-            if self._unit and (t == lo or t == hi):
-                return t
-            raise self._outside_range(t)
+            return self._inverse_point(float(t))
         arr = np.array(t, dtype=float)
+        if arr.size == 1:  # one point takes the cheaper scalar branch
+            arr[...] = self._inverse_point(arr.item())
+            return arr
+        lo, hi = self.codomain
         interior = (arr > lo) & (arr < hi)
         ok = interior | (arr == lo) | (arr == hi) if self._unit else interior
         if not ok.all():
@@ -167,9 +172,22 @@ class _MonotoneFn:
                 # the array inverse has the scalar bits, so the first target
                 # whose scalar inverse overflows names the error
                 for v in arr[interior].tolist():
-                    self.inverse(v)
+                    self._inverse_point(v)
                 raise
         return arr
+
+    def _inverse_point(self, t: float) -> float:
+        lo, hi = self.codomain
+        if lo < t < hi:
+            try:
+                return self._inverse(t)
+            except OverflowError:
+                raise RangeError(
+                    f"inverse of {t:g} overflows the float range for {self.spec}"
+                ) from None
+        if self._unit and (t == lo or t == hi):
+            return t
+        raise self._outside_range(t)
 
     def _value(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -191,8 +209,10 @@ class _MonotoneFn:
         raise NotImplementedError
 
     def _check_increasing(self) -> None:
-        # smoke test; the real guarantee is the per-family parameter check
-        d = self._d1(self._validation_grid())
+        # smoke test; the real guarantee is the per-family parameter check.
+        # Extreme parameters overflow here; the finiteness test rejects them.
+        with np.errstate(all="ignore"):
+            d = self._d1(self._validation_grid())
         if not (np.all(np.isfinite(d)) and np.all(d > 0.0)):
             raise MonotonicityError(
                 f"{self._symbol}' <= 0 on validation grid for {self.spec}"
@@ -274,10 +294,6 @@ class CaraUtility(UtilityFn):
     def codomain(self):
         return (-_INF, 0.0)
 
-    @property
-    def spec(self):
-        return f"cara:{_fmt(self.a)}"
-
     def _validation_window(self):
         xm = min(10.0, 600.0 / self.a)
         return (-xm, xm)
@@ -323,13 +339,6 @@ class CrraUtility(UtilityFn):
             return (0.0, _INF)
         return (-_INF, 0.0)
 
-    @property
-    def spec(self):
-        return f"crra:{_fmt(self.eta)}"
-
-    def _validation_window(self):
-        return (1e-2, 100.0)
-
     def _value(self, x):
         if self.eta == 1.0:
             return np.log(x)
@@ -356,13 +365,6 @@ class LogUtility(UtilityFn):
     @property
     def domain(self):
         return (0.0, _INF)
-
-    @property
-    def spec(self):
-        return "log"
-
-    def _validation_window(self):
-        return (1e-2, 100.0)
 
     def _value(self, x):
         return np.log(x)
@@ -408,10 +410,6 @@ class QuadraticUtility(UtilityFn):
         if self.b < 0.0:
             return (1.0 / (4.0 * self.b), _INF)
         return (-_INF, _INF)
-
-    @property
-    def spec(self):
-        return f"quadratic:{_fmt(self.b)}"
 
     def _value(self, x):
         return x - self.b * x * x
@@ -498,10 +496,6 @@ class PowerWeighting(WeightingFn):
             raise MonotonicityError("power weighting requires theta > 0")
         self._check_increasing()
 
-    @property
-    def spec(self):
-        return f"power:{_fmt(self.theta)}"
-
     def _value(self, p):
         return p**self.theta
 
@@ -533,10 +527,6 @@ class PrelecWeighting(WeightingFn):
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
             raise MonotonicityError("prelec requires finite parameters")
         self._check_increasing()
-
-    @property
-    def spec(self):
-        return f"prelec:{_fmt(self.alpha)},{_fmt(self.beta)}"
 
     def _value(self, p):
         return np.exp(-self.beta * (-np.log(p)) ** self.alpha)
@@ -585,10 +575,6 @@ class TkWeighting(WeightingFn):
                 f" (got {self.gamma:g})"
             )
         self._check_increasing()
-
-    @property
-    def spec(self):
-        return f"tk:{_fmt(self.gamma)}"
 
     def _value(self, p):
         g = self.gamma
@@ -652,8 +638,9 @@ class ConcaveTransform(WeightingFn):
 
     def _check_shape(self) -> None:
         self._check_increasing()
-        if not np.all(self._d2(VALIDATION_GRID) < 0.0):
-            raise ConcavityError(f"T'' >= 0 on validation grid for {self.spec}")
+        with np.errstate(all="ignore"):
+            if not np.all(self._d2(VALIDATION_GRID) < 0.0):
+                raise ConcavityError(f"T'' >= 0 on validation grid for {self.spec}")
 
 
 @dataclass(frozen=True)
@@ -667,10 +654,6 @@ class PowerTransform(ConcaveTransform):
         if not (0.0 < self.kappa < 1.0):
             raise ConcavityError("power transform requires 0 < kappa < 1")
         self._check_shape()
-
-    @property
-    def spec(self):
-        return f"power:{_fmt(self.kappa)}"
 
     def _value(self, t):
         return t**self.kappa
@@ -701,10 +684,6 @@ class ExpTransform(ConcaveTransform):
             raise ConcavityError("exp transform requires a > 0")
         self._check_shape()
 
-    @property
-    def spec(self):
-        return f"exp:{_fmt(self.a)}"
-
     def _value(self, t):
         return np.expm1(-self.a * t) / np.expm1(-self.a)
 
@@ -729,10 +708,6 @@ class BlendTransform(ConcaveTransform):
         if not (0.0 < self.w <= 1.0):
             raise ConcavityError("blend transform requires 0 < w <= 1")
         self._check_shape()
-
-    @property
-    def spec(self):
-        return f"blend:{_fmt(self.w)}"
 
     def _value(self, t):
         return (1.0 - self.w) * t + self.w * np.sqrt(t)
@@ -761,7 +736,8 @@ class ComposedWeighting(WeightingFn):
     family: ClassVar[str] = "composed"
 
     def __post_init__(self):
-        inner = self.base._value(VALIDATION_GRID)
+        with np.errstate(all="ignore"):
+            inner = self.base._value(VALIDATION_GRID)
         if not (np.all(inner > 0.0) and np.all(inner < 1.0)):
             # extreme bases can underflow to exactly 0/1 where the chain-rule
             # factors T'(h), T''(h) are not representable
@@ -804,26 +780,11 @@ def concavify(g: WeightingFn, transform: ConcaveTransform) -> ComposedWeighting:
 # ---------------------------------------------------------------------------
 
 _UTILITIES = {
-    "linear": (LinearUtility, 0),
-    "identity": (LinearUtility, 0),  # alias: identity utility = linear
-    "cara": (CaraUtility, 1),
-    "crra": (CrraUtility, 1),
-    "log": (LogUtility, 0),
-    "quadratic": (QuadraticUtility, 1),
+    f.family: f for f in (LinearUtility, CaraUtility, CrraUtility, LogUtility, QuadraticUtility)
 }
-
-_WEIGHTINGS = {
-    "identity": (IdentityWeighting, 0),
-    "power": (PowerWeighting, 1),
-    "prelec": (PrelecWeighting, 2),
-    "tk": (TkWeighting, 1),
-}
-
-_TRANSFORMS = {
-    "power": (PowerTransform, 1),
-    "exp": (ExpTransform, 1),
-    "blend": (BlendTransform, 1),
-}
+_UTILITIES["identity"] = LinearUtility  # alias: identity utility = linear
+_WEIGHTINGS = {f.family: f for f in (IdentityWeighting, PowerWeighting, PrelecWeighting, TkWeighting)}
+_TRANSFORMS = {f.family: f for f in (PowerTransform, ExpTransform, BlendTransform)}
 
 
 def _split_spec_string(text: str) -> tuple[str, list[float]]:
@@ -844,7 +805,8 @@ def _build(table: dict, kind: str, name: str, params: list[float]):
     if name not in table:
         known = ", ".join(sorted(set(table)))
         raise ParseError(f"unknown {kind} family {name!r} (known: {known})")
-    ctor, arity = table[name]
+    ctor = table[name]
+    arity = len(fields(ctor))
     if len(params) != arity:
         raise ParseError(
             f"{kind} family {name!r} takes {arity} parameter(s), got {len(params)}"

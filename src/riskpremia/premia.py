@@ -39,11 +39,11 @@ realized deltas alongside the exact solutions' residuals.
 The exact rho, lambda, sigma and mu have private array forms (_rho,
 _lambda, _sigma, _mu) that solve a whole grid of scenarios in one pass;
 the public scalar kernels run them on a one-point grid.  Forward values
-go through the array path of value().  A grid of more than one point
-is inverted in one array inverse() call (for tk, one lockstep root
-find), utilities and weightings alike; a one-point grid goes through the
-scalar inverse().  The array inverse has the scalar bits, so a premium
-has the same bits at every grid size.
+go through the array path of value().  A grid is inverted in one
+inverse() call (for tk, one lockstep root find), utilities and
+weightings alike; for a one-point grid, inverse() itself takes its
+cheaper scalar branch.  The array inverse has the scalar bits, so a
+premium has the same bits at every grid size.
 
 PREMIA lists the six premia once, in report order (pi, gamma, rho,
 lambda, sigma, mu): for each, its exact and approximate kernel on a
@@ -113,15 +113,6 @@ def _divide(num, den):
     if not np.all(den):
         raise DegenerateError("spread vanished below rounding width; cannot divide by it")
     return num / den
-
-
-def _inverses(f, targets: np.ndarray) -> np.ndarray:
-    """f.inverse at each target.  A grid of more than one point takes one
-    array call, with the scalar bits at every point; a one-point grid
-    (every public kernel) keeps the cheaper scalar call."""
-    if targets.size > 1:
-        return f.inverse(targets)
-    return np.array([f.inverse(t) for t in targets.tolist()])
 
 
 def _check_shift_band(name: str, shift: np.ndarray, eps2: np.ndarray) -> None:
@@ -198,7 +189,7 @@ def _rho(h: WeightingFn, p0: np.ndarray, eps2: np.ndarray) -> np.ndarray:
 
 def _lambda(h: WeightingFn, p0: np.ndarray, eps2: np.ndarray) -> np.ndarray:
     _check_dt_points(p0, eps2)
-    lam = p0 - _inverses(h, 0.5 * (h.value(p0 - eps2) + h.value(p0 + eps2)))
+    lam = p0 - h.inverse(0.5 * (h.value(p0 - eps2) + h.value(p0 + eps2)))
     # monotone h keeps the midpoint inside the band; guarded anyway
     _check_shift_band("lambda", lam, eps2)
     return lam
@@ -243,7 +234,7 @@ def _sigma(dm: DecisionMaker, x0, p0, eps1, eps2) -> np.ndarray:
     if not ((lo < mean) & (mean < hi)).all():
         # convex combination of attained values; guarded anyway
         raise RangeError("decision-weighted utility left the utility range")
-    return x0 - _inverses(u, mean)
+    return x0 - u.inverse(mean)
 
 
 def _mu(dm: DecisionMaker, x0, p0, eps1, eps2) -> np.ndarray:
@@ -262,7 +253,7 @@ def _mu(dm: DecisionMaker, x0, p0, eps1, eps2) -> np.ndarray:
         raise InfeasibleError(
             "probability shift target left [h(p0-eps2), h(p0+eps2)]"
         )
-    mu = p0 - _inverses(h, target)
+    mu = p0 - h.inverse(target)
     _check_shift_band("mu", mu, eps2)
     return mu
 

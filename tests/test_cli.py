@@ -394,6 +394,24 @@ def test_overflow_is_one_compute_error_line(capsys, argv):
     assert err == "error: compute: overflow encountered in exp\n"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "flag, spec, message",
+    [
+        ("--utility", "crra:123456.789", "U' <= 0 on validation grid for crra:123457"),
+        ("--utility", "cara:1e308", "U' <= 0 on validation grid for cara:1e+308"),
+        ("--weighting", "prelec:123456.789,0.1", "h' <= 0 on validation grid for prelec:123457,0.1"),
+        ("--weighting", "tk:123456.789", "h' <= 0 on validation grid for tk:123457"),
+        ("--weighting", "exp:1e308@tk:0.61", "T' <= 0 on validation grid for exp:1e+308"),
+        ("--weighting", "power:0.5@power:1e300", "h' <= 0 on validation grid for power:1e+300"),
+    ],
+)
+def test_extreme_parameter_is_one_input_error_line(capsys, flag, spec, message):
+    """The construction check overflows silently: exit 2, not a compute error."""
+    code, out, err = run_cli(capsys, "premia", flag, spec, "--x0", "2")
+    assert (code, out, err) == (2, "", f"error: input: {message}\n")
+
+
 def test_module_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "riskpremia", "premia", "--format", "csv"],

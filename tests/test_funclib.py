@@ -9,6 +9,7 @@ from riskpremia import (
     CaraUtility,
     ConcavityError,
     CrraUtility,
+    DecisionMaker,
     DomainError,
     IdentityWeighting,
     LinearUtility,
@@ -162,9 +163,10 @@ class TestUtilityFamilies:
             u.inverse(target)
         assert str(info.value) == message
         inside = -1.0 if target < 0.0 else 1.0
-        with pytest.raises(RangeError) as info:
-            u.inverse(np.array([inside, target]))
-        assert str(info.value) == message
+        for targets in ([inside, target], [target]):
+            with pytest.raises(RangeError) as info:
+                u.inverse(np.array(targets))
+            assert str(info.value) == message
 
     def test_invalid_params(self):
         with pytest.raises(MonotonicityError):
@@ -300,9 +302,12 @@ ARRAY_INVERSE_SPECS = [
 ]
 
 
+PARSERS = {"utility": parse_utility, "weighting": parse_weighting, "transform": parse_transform}
+
+
 def _parse_any(spec):
     kind, _, text = spec.rpartition(" ")
-    return {"": parse_weighting, "utility": parse_utility, "transform": parse_transform}[kind](text)
+    return PARSERS[kind or "weighting"](text)
 
 
 def _inverse_targets(f):
@@ -355,6 +360,34 @@ class TestArrayInverse:
             assert type(array.value) is type(scalar.value)
             assert str(array.value) == str(scalar.value)
 
+    @pytest.mark.parametrize("spec", ARRAY_INVERSE_SPECS)
+    def test_one_point_takes_the_scalar_branch_once(self, spec, monkeypatch):
+        """A one-element array: the scalar bits and errors in the array's
+        shape, through one entry to the public inverse (a wrapper around it
+        counts each call once)."""
+        f = _parse_any(spec)
+        entries = []
+        public = type(f).inverse
+
+        def counted(self, t):
+            entries.append(self is f)
+            return public(self, t)
+
+        monkeypatch.setattr(type(f), "inverse", counted)
+        targets = _inverse_targets(f)[::6].tolist()
+        for t in targets:
+            want = float(f.inverse(t)).hex()
+            for shape in ((1,), (1, 1)):
+                got = f.inverse(np.full(shape, t))
+                assert got.shape == shape and float(got.item()).hex() == want
+        for bad in _bad_targets(f):
+            with pytest.raises(RiskPremiaError) as scalar:
+                f.inverse(bad)
+            with pytest.raises(RiskPremiaError) as array:
+                f.inverse(np.array([bad]))
+            assert (type(array.value), str(array.value)) == (type(scalar.value), str(scalar.value))
+        assert entries.count(True) == 3 * len(targets) + 2 * len(_bad_targets(f))
+
     def test_input_not_modified(self):
         q = np.array([0.0, 0.3, 1.0])
         TkWeighting(gamma=0.61).inverse(q)
@@ -386,6 +419,35 @@ def test_domain_and_range_errors_as_recorded(entry):
     f = parse(entry["spec"])
     got = [_call_outcome(f, method, arg) for method, arg, _ in entry["calls"]]
     assert got == [outcome for _, _, outcome in entry["calls"]]
+
+
+# spec, repr and DecisionMaker.label of every family (utilities, weightings,
+# transforms, composites, a composite of composites, mapping specs) at
+# awkward parameter values, and the ParseError of every family for one
+# parameter too few and one too many, plus unknown families.  Recorded in
+# tests/data/funclib_specs.json.  Under warnings-as-errors, the extreme
+# parameters among them check that construction overflows silently and
+# ends in the MonotonicityError.
+FUNCLIB_SPECS = json.loads((Path(__file__).parent / "data" / "funclib_specs.json").read_text())
+
+
+def _spec_outcome(kind, given):
+    try:
+        f = PARSERS[kind](given)
+    except RiskPremiaError as exc:
+        return [type(exc).__name__, str(exc)]
+    if kind == "utility":
+        dm = DecisionMaker(f, IdentityWeighting())
+    else:
+        dm = DecisionMaker(LinearUtility(), f)
+    return [f.spec, repr(f), dm.label]
+
+
+@pytest.mark.parametrize(
+    "entry", FUNCLIB_SPECS, ids=lambda entry: f"{entry['kind']} {json.dumps(entry['given'])}"
+)
+def test_spec_repr_and_label_as_recorded(entry):
+    assert _spec_outcome(entry["kind"], entry["given"]) == entry["outcome"]
 
 
 class TestConcaveTransforms:
