@@ -5,6 +5,9 @@ finder and inverse formulas; it evaluates only the forward functions, so
 it stays an independent check on every exact premium.
 """
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
 from riskpremia import (
@@ -38,6 +41,13 @@ def bisect_root(f, lo, hi, iters=200):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def ulp_error(got: float, reference: str) -> float:
+    """|got - reference| in ulps of the reference rounded to a double.  The
+    reference is a decimal string, compared exactly, so no mpmath is needed."""
+    ref = Fraction(reference)
+    return float(abs(Fraction(got) - ref) / Fraction(math.ulp(float(ref))))
 
 
 def central_diff(f, x, step):

@@ -30,7 +30,7 @@ from riskpremia import (
     parse_utility,
     parse_weighting,
 )
-from conftest import bisect_root
+from conftest import bisect_root, ulp_error
 
 # families exercised by the derivative-oracle sweep
 UTILITIES = [
@@ -448,6 +448,46 @@ def _spec_outcome(kind, given):
 )
 def test_spec_repr_and_label_as_recorded(entry):
     assert _spec_outcome(entry["kind"], entry["given"]) == entry["outcome"]
+
+
+# The accuracy contract: 50-digit mpmath references of value/d1/d2/inverse
+# at fixed points for every spec of funclib_specs.json that constructs, with
+# one ulp bound per spec and method.  Written by
+# tests/data/make_funclib_ulps.py; see the README before regenerating it.
+FUNCLIB_ULPS = json.loads((Path(__file__).parent / "data" / "funclib_ulps.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "entry", FUNCLIB_ULPS, ids=lambda entry: f"{entry['kind']} {json.dumps(entry['given'])}"
+)
+def test_within_the_recorded_ulp_bounds(entry):
+    f = PARSERS[entry["kind"]](entry["given"])
+    assert repr(f) == entry["repr"]
+    over = {}
+    for method, body in entry["methods"].items():
+        xs = [float.fromhex(x) for x, _ in body["points"]]
+        array = getattr(f, method)(np.array(xs)).tolist()
+        worst = max(
+            max(ulp_error(float(getattr(f, method)(x)), want), ulp_error(got, want))
+            for x, got, (_, want) in zip(xs, array, body["points"])
+        )
+        if worst > body["bound"]:
+            over[method] = (worst, body["bound"])
+    assert not over
+
+
+def test_the_ulp_table_covers_every_spec():
+    """A family or spec added to funclib_specs.json needs its ulp bounds."""
+    covered = {(entry["kind"], entry["repr"]) for entry in FUNCLIB_ULPS}
+    built = set()
+    for entry in FUNCLIB_SPECS:
+        try:
+            built.add((entry["kind"], repr(PARSERS[entry["kind"]](entry["given"]))))
+        except RiskPremiaError:
+            continue
+    assert built == covered
+    for entry in FUNCLIB_ULPS:
+        assert {"value", "d1", "inverse"} <= set(entry["methods"]), entry["repr"]
 
 
 class TestConcaveTransforms:
