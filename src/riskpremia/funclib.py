@@ -14,10 +14,12 @@ Conventions:
   closed interval and return the endpoints exactly; derivative queries
   at the endpoints are domain errors (they diverge for some families).
 - h.dual is the decumulative companion 1 - h(1 - p).
-- Inverses take a scalar or an array and give the scalar's bits at every
-  point.  Closed-form families invert an array point by point in math (a
-  numpy ufunc would change bits); tk solves all interior targets in one
-  lockstep root find (numerics.find_roots).
+- A closed-form inverse is one numpy formula for a float or an array, so
+  a target has the same bits in every shape (** on a float would run
+  scalar math; np.float_power runs the C library's pow, np.power may run
+  a less accurate SIMD one).  tk solves one target with find_root, more
+  with one lockstep find_roots.  tests/data/funclib_ulps.json bounds the
+  error of every method of every spec, in ulps of an mpmath reference.
 - A ConcaveTransform T is a strictly concave weighting; concavify(h, T)
   builds the composition T(h(p)) with chain-rule derivatives.  Composing
   with any valid T raises the curvature index -h''/h' everywhere.
@@ -38,6 +40,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from fractions import Fraction
+from functools import cached_property
 from typing import ClassVar, Mapping, Union
 
 import numpy as np
@@ -85,13 +89,16 @@ class _MonotoneFn:
     """Strictly increasing map with analytic derivatives and an inverse.
 
     Subclasses implement _value/_d1/_d2 on arrays inside self.domain and
-    _inverse on one float inside self.codomain.  value/d1/d2/inverse
-    accept scalars or numpy arrays; an array inverse has the bits of the
-    scalar inverse at every point.  Endpoint policy: a unit map sends
-    [0, 1] onto itself, so its value and inverse also accept the
-    endpoints and return them exactly; d1/d2 take the open interval
-    only, and every other map takes open intervals throughout.  f' > 0
-    is checked on a dense grid at construction.
+    _inverse on a float or an array inside self.codomain, as one formula
+    for both.  value/d1/d2/inverse accept scalars or numpy arrays.
+    inverse checks the range, and a target whose preimage leaves the
+    floats is a RangeError naming the first such target; one point runs
+    the same formula without masks, so it has the same bits in every
+    shape.  Endpoint policy: a unit map sends [0, 1] onto itself, so its
+    value and inverse also accept the endpoints and return them exactly;
+    d1/d2 take the open interval only, and every other map takes open
+    intervals throughout.  f' > 0 is checked on a dense grid at
+    construction.
 
     A concrete family is a frozen dataclass: its fields are its
     parameters, __post_init__ checks them, and _value/_d1/_d2/_inverse are
@@ -154,40 +161,39 @@ class _MonotoneFn:
 
     def inverse(self, t):
         # isinstance first: np.ndim costs ~2 us on a float
-        if isinstance(t, float) or np.ndim(t) == 0:
-            return self._inverse_point(float(t))
-        arr = np.array(t, dtype=float)
-        if arr.size == 1:  # one point takes the cheaper scalar branch
-            arr[...] = self._inverse_point(arr.item())
-            return arr
+        scalar = isinstance(t, float) or np.ndim(t) == 0
+        arr = None if scalar else np.array(t, dtype=float)
         lo, hi = self.codomain
+        if scalar or arr.size == 1:  # one point: the same formula without masks
+            v = float(t) if scalar else arr.item()
+            if self._unit and (v == lo or v == hi):
+                out = v
+            elif not lo < v < hi:
+                raise self._outside_range(v)
+            else:
+                with np.errstate(over="ignore", divide="ignore"):
+                    out = float(self._inverse(v))
+                if not math.isfinite(out):
+                    raise self._overflow(v)
+            if scalar:
+                return out
+            arr[...] = out
+            return arr
         interior = (arr > lo) & (arr < hi)
         ok = interior | (arr == lo) | (arr == hi) if self._unit else interior
         if not ok.all():
             raise self._outside_range(float(arr[~ok][0]))
         if interior.any():  # a unit map's endpoints stay exact in the copy
-            try:
-                arr[interior] = self._inverse_array(arr[interior])
-            except OverflowError:
-                # the array inverse has the scalar bits, so the first target
-                # whose scalar inverse overflows names the error
-                for v in arr[interior].tolist():
-                    self._inverse_point(v)
-                raise
+            with np.errstate(over="ignore", divide="ignore"):
+                out = self._inverse(arr[interior])
+            finite = np.isfinite(out)
+            if not finite.all():
+                raise self._overflow(float(arr[interior][~finite][0]))
+            arr[interior] = out
         return arr
 
-    def _inverse_point(self, t: float) -> float:
-        lo, hi = self.codomain
-        if lo < t < hi:
-            try:
-                return self._inverse(t)
-            except OverflowError:
-                raise RangeError(
-                    f"inverse of {t:g} overflows the float range for {self.spec}"
-                ) from None
-        if self._unit and (t == lo or t == hi):
-            return t
-        raise self._outside_range(t)
+    def _overflow(self, t: float) -> RangeError:
+        return RangeError(f"inverse of {t:g} overflows the float range for {self.spec}")
 
     def _value(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -198,12 +204,8 @@ class _MonotoneFn:
     def _d2(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _inverse(self, t: float) -> float:
+    def _inverse(self, t):
         raise NotImplementedError
-
-    def _inverse_array(self, t: np.ndarray) -> np.ndarray:
-        # closed forms stay per point in math: a numpy ufunc changes bits
-        return np.array([self._inverse(v) for v in t.tolist()])
 
     def _validation_grid(self) -> np.ndarray:
         raise NotImplementedError
@@ -308,7 +310,7 @@ class CaraUtility(UtilityFn):
         return -self.a * self.a * np.exp(-self.a * x)
 
     def _inverse(self, t):
-        return -math.log(-t) / self.a
+        return -np.log(-t) / self.a
 
 
 @dataclass(frozen=True)
@@ -352,8 +354,8 @@ class CrraUtility(UtilityFn):
 
     def _inverse(self, t):
         if self.eta == 1.0:
-            return math.exp(t)
-        return ((1.0 - self.eta) * t) ** (1.0 / (1.0 - self.eta))
+            return np.exp(t)
+        return np.float_power((1.0 - self.eta) * t, 1.0 / (1.0 - self.eta))
 
 
 @dataclass(frozen=True)
@@ -376,7 +378,7 @@ class LogUtility(UtilityFn):
         return -1.0 / (x * x)
 
     def _inverse(self, t):
-        return math.exp(t)
+        return np.exp(t)
 
 
 @dataclass(frozen=True)
@@ -420,10 +422,19 @@ class QuadraticUtility(UtilityFn):
     def _d2(self, x):
         return 0.0 * x - 2.0 * self.b
 
+    @cached_property
+    def _range_end(self) -> tuple[float, float]:
+        """1/(4b) as a double and its rounding error."""
+        end = 1.0 / (4.0 * self.b)
+        return end, float(1 / (4 * Fraction(self.b)) - Fraction(end))
+
     def _inverse(self, t):
         if self.b == 0.0:
             return t
-        return (1.0 - math.sqrt(1.0 - 4.0 * self.b * t)) / (2.0 * self.b)
+        # (1 - sqrt(1 - 4bt)) / 2b = t / (1/2 + sqrt(b (1/(4b) - t))) cancels
+        # neither as bt -> 0 nor, with 1/(4b) exact, near the end of the range
+        end, err = self._range_end
+        return t / (0.5 + math.sqrt(abs(self.b)) * np.sqrt(np.abs((end - t) + err)))
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +517,7 @@ class PowerWeighting(WeightingFn):
         return self.theta * (self.theta - 1.0) * p ** (self.theta - 2.0)
 
     def _inverse(self, q):
-        return q ** (1.0 / self.theta)
+        return np.float_power(q, 1.0 / self.theta)
 
 
 @dataclass(frozen=True)
@@ -546,7 +557,7 @@ class PrelecWeighting(WeightingFn):
         return self._value(p) * (b * a / (p * p)) * inner
 
     def _inverse(self, q):
-        return math.exp(-((-math.log(q) / self.beta) ** (1.0 / self.alpha)))
+        return np.exp(-np.float_power(-np.log(q) / self.beta, 1.0 / self.alpha))
 
 
 # Below this curvature the Tversky-Kahneman form loses monotonicity on (0, 1).
@@ -601,17 +612,15 @@ class TkWeighting(WeightingFn):
 
     def _inverse(self, q):
         # Every iterate lies in the bracket, where _value needs no validation
-        # and is exact at the endpoints.  It runs on a one-element array, as
-        # value() does, because numpy scalar powers can differ in the last bit.
-        spec = RootSpec(
-            objective=lambda p: float(self._value(np.array([p]))[0]) - q,
-            bracket=(0.0, 1.0),
-            tol=1e-14,
-        )
-        return find_root(spec)
-
-    def _inverse_array(self, q):
-        # the same steps as _inverse for every target, in one lockstep solve
+        # and is exact at the endpoints.  find_root (~0.1 ms) and find_roots
+        # (~0.6 ms on one target) take the same steps; the scalar objective
+        # runs _value on a one-element array, as value() does.
+        if isinstance(q, float):
+            return find_root(RootSpec(
+                objective=lambda p: float(self._value(np.array([p]))[0]) - q,
+                bracket=(0.0, 1.0),
+                tol=1e-14,
+            ))
         return find_roots(
             lambda p, active: self._value(p) - q[active],
             np.zeros(q.size),
@@ -665,7 +674,7 @@ class PowerTransform(ConcaveTransform):
         return self.kappa * (self.kappa - 1.0) * t ** (self.kappa - 2.0)
 
     def _inverse(self, q):
-        return q ** (1.0 / self.kappa)
+        return np.float_power(q, 1.0 / self.kappa)
 
 
 @dataclass(frozen=True)
@@ -694,7 +703,7 @@ class ExpTransform(ConcaveTransform):
         return -self.a * self.a * np.exp(-self.a * t) / (-np.expm1(-self.a))
 
     def _inverse(self, q):
-        return -math.log1p(q * math.expm1(-self.a)) / self.a
+        return -np.log1p(q * np.expm1(-self.a)) / self.a
 
 
 @dataclass(frozen=True)
@@ -719,11 +728,10 @@ class BlendTransform(ConcaveTransform):
         return -self.w / (4.0 * t**1.5)
 
     def _inverse(self, q):
-        if self.w == 1.0:
-            return q * q
-        # solve (1-w) s^2 + w s - q = 0 for s = sqrt(t), positive branch
+        # (1-w) s^2 + w s - q = 0 for s = sqrt(t), in the form that neither
+        # cancels nor divides by 1 - w
         w = self.w
-        s = (-w + math.sqrt(w * w + 4.0 * (1.0 - w) * q)) / (2.0 * (1.0 - w))
+        s = 2.0 * q / (w + np.sqrt(w * w + 4.0 * (1.0 - w) * q))
         return s * s
 
 
@@ -764,10 +772,7 @@ class ComposedWeighting(WeightingFn):
         return self.transform.d2(h) * hp * hp + self.transform.d1(h) * self.base._d2(p)
 
     def _inverse(self, q):
-        # a scalar or an array: the transform and the base each invert both
         return self.base.inverse(self.transform.inverse(q))
-
-    _inverse_array = _inverse
 
 
 def concavify(g: WeightingFn, transform: ConcaveTransform) -> ComposedWeighting:

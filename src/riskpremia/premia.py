@@ -40,10 +40,10 @@ The exact rho, lambda, sigma and mu have private array forms (_rho,
 _lambda, _sigma, _mu) that solve a whole grid of scenarios in one pass;
 the public scalar kernels run them on a one-point grid.  Forward values
 go through the array path of value().  A grid is inverted in one
-inverse() call (for tk, one lockstep root find), utilities and
-weightings alike; for a one-point grid, inverse() itself takes its
-cheaper scalar branch.  The array inverse has the scalar bits, so a
-premium has the same bits at every grid size.
+inverse() call, utilities and weightings alike: one numpy formula for a
+closed form, one lockstep root find for tk.  A one-point grid runs the
+same formula without masks (tk: find_root), so an inverse, and with it
+a premium, has the same bits at every grid size.
 
 PREMIA lists the six premia once, in report order (pi, gamma, rho,
 lambda, sigma, mu): for each, its exact and approximate kernel on a

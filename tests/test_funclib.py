@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskpremia import (
     CaraUtility,
@@ -304,10 +306,56 @@ ARRAY_INVERSE_SPECS = [
 
 PARSERS = {"utility": parse_utility, "weighting": parse_weighting, "transform": parse_transform}
 
+# a spec of every family and kind, with a target whose preimage overflows
+SHAPE_SPECS = {
+    "utility linear": None, "utility cara:1": None, "utility crra:0.5": 1e300,
+    "utility crra:2": -1e-320, "utility log": 1000.0, "utility quadratic:0.2": None,
+    "utility quadratic:-0.2": None, "identity": None, "power:0.5": None,
+    "prelec:0.65,1": None, "tk:0.61": None, "power:0.5@tk:0.61": None,
+    "exp:2@prelec:0.65,1": None, "transform power:0.5": None, "transform exp:2": None,
+    "transform blend:0.6": None,
+}
+
 
 def _parse_any(spec):
     kind, _, text = spec.rpartition(" ")
     return PARSERS[kind or "weighting"](text)
+
+
+# spec, repr and DecisionMaker.label of every family (utilities, weightings,
+# transforms, composites, a composite of composites, mapping specs) at
+# awkward parameter values, and the ParseError of every family for one
+# parameter too few and one too many, plus unknown families.  Recorded in
+# tests/data/funclib_specs.json.  Under warnings-as-errors, the extreme
+# parameters among them check that construction overflows silently and
+# ends in the MonotonicityError.
+FUNCLIB_SPECS = json.loads((Path(__file__).parent / "data" / "funclib_specs.json").read_text())
+
+
+def _constructed(entries):
+    """{(kind, repr): function} of every entry that constructs."""
+    built = {}
+    for entry in entries:
+        try:
+            f = PARSERS[entry["kind"]](entry["given"])
+        except RiskPremiaError:
+            continue
+        built.setdefault((entry["kind"], repr(f)), f)
+    return built
+
+
+# every function of funclib_specs.json whose inverse is a closed form
+CLOSED_FORMS = [f for (_, r), f in _constructed(FUNCLIB_SPECS).items() if "Tk" not in r]
+
+# The accuracy contract: 50-digit mpmath references of value/d1/d2/inverse
+# at fixed points for every spec of funclib_specs.json that constructs, with
+# one ulp bound per spec and method.  Written by
+# tests/data/make_funclib_ulps.py; see the README before regenerating it.
+FUNCLIB_ULPS = json.loads((Path(__file__).parent / "data" / "funclib_ulps.json").read_text())
+ULP_TARGETS = {
+    entry["repr"]: [float.fromhex(t) for t, _ in entry["methods"]["inverse"]["points"]]
+    for entry in FUNCLIB_ULPS
+}
 
 
 def _inverse_targets(f):
@@ -316,7 +364,12 @@ def _inverse_targets(f):
         lo, hi = f.domain
         x = np.linspace(max(lo, -3.0) + 0.01, min(hi, 5.0) - 0.01, 97)
         ends = (lo + 1e-3 if math.isfinite(lo) else -20.0, hi - 1e-3 if math.isfinite(hi) else 30.0)
-        return np.concatenate([f.value(x), f.value(np.array(ends))])
+        # extreme parameters leave the floats or the range on this window,
+        # so the ulp table's targets follow
+        with np.errstate(over="ignore"):
+            t = np.concatenate([f.value(x), f.value(np.array(ends)), ULP_TARGETS.get(repr(f), [])])
+        lo, hi = f.codomain
+        return t[(t > lo) & (t < hi)]
     specials = [0.0, 1.0, 5e-324, 1e-320, 1e-300, 1e-16, 0.5, 1.0 - 1e-16, 0.0, 1.0]
     return np.concatenate([np.linspace(0.0, 1.0, 97), specials])
 
@@ -330,17 +383,21 @@ def _bad_targets(f):
 
 
 class TestArrayInverse:
-    @pytest.mark.parametrize("spec", ARRAY_INVERSE_SPECS)
+    @pytest.mark.parametrize(
+        "spec", ARRAY_INVERSE_SPECS + CLOSED_FORMS,
+        ids=lambda spec: spec if isinstance(spec, str) else repr(spec),
+    )
     def test_bits_of_the_scalar_inverse(self, spec):
-        f = _parse_any(spec)
+        f = _parse_any(spec) if isinstance(spec, str) else spec
         q = _inverse_targets(f)
         got = f.inverse(q)
         want = np.array([f.inverse(float(t)) for t in q])
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
         # shape kept
-        grid = f.inverse(q[:96].reshape(8, 12))
-        assert grid.shape == (8, 12)
-        assert grid.view(np.int64).tolist() == want[:96].reshape(8, 12).view(np.int64).tolist()
+        n = q.size // 12 * 12
+        grid = f.inverse(q[:n].reshape(-1, 12))
+        assert grid.shape == (n // 12, 12)
+        assert grid.view(np.int64).tolist() == want[:n].reshape(-1, 12).view(np.int64).tolist()
         if not isinstance(f, UtilityFn):  # endpoints of a unit map exact
             assert f.inverse(np.array([0.0, 1.0])).tolist() == [0.0, 1.0]
 
@@ -388,6 +445,35 @@ class TestArrayInverse:
             assert (type(array.value), str(array.value)) == (type(scalar.value), str(scalar.value))
         assert entries.count(True) == 3 * len(targets) + 2 * len(_bad_targets(f))
 
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(spec=st.sampled_from(list(SHAPE_SPECS)), data=st.data())
+    def test_float_one_point_and_many_points_agree(self, spec, data):
+        """Random interior targets: the same bits as a float, as a
+        one-element array and in one array of all of them.  A target whose
+        preimage leaves the floats, put anywhere among them, raises the same
+        RangeError in each shape."""
+        f = _parse_any(spec)
+        if isinstance(f, UtilityFn):
+            lo, hi = f.domain
+            x = st.floats(lo + 1e-3 if math.isfinite(lo) else -30.0,
+                          hi - 1e-3 if math.isfinite(hi) else 30.0)
+            targets = [float(f.value(v)) for v in data.draw(st.lists(x, min_size=2, max_size=40))]
+        else:
+            q = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+            targets = data.draw(st.lists(q, min_size=2, max_size=40))
+        want = [f.inverse(t).hex() for t in targets]
+        assert [float(f.inverse(np.array([t]))[0]).hex() for t in targets] == want
+        assert [v.hex() for v in f.inverse(np.array(targets)).tolist()] == want
+        big = SHAPE_SPECS[spec]
+        if big is None:
+            return
+        targets.insert(data.draw(st.integers(0, len(targets))), big)
+        message = f"inverse of {big:g} overflows the float range for {f.spec}"
+        for arg in (big, np.array([big]), np.array(targets)):
+            with pytest.raises(RangeError) as info:
+                f.inverse(arg)
+            assert str(info.value) == message
+
     def test_input_not_modified(self):
         q = np.array([0.0, 0.3, 1.0])
         TkWeighting(gamma=0.61).inverse(q)
@@ -421,16 +507,6 @@ def test_domain_and_range_errors_as_recorded(entry):
     assert got == [outcome for _, _, outcome in entry["calls"]]
 
 
-# spec, repr and DecisionMaker.label of every family (utilities, weightings,
-# transforms, composites, a composite of composites, mapping specs) at
-# awkward parameter values, and the ParseError of every family for one
-# parameter too few and one too many, plus unknown families.  Recorded in
-# tests/data/funclib_specs.json.  Under warnings-as-errors, the extreme
-# parameters among them check that construction overflows silently and
-# ends in the MonotonicityError.
-FUNCLIB_SPECS = json.loads((Path(__file__).parent / "data" / "funclib_specs.json").read_text())
-
-
 def _spec_outcome(kind, given):
     try:
         f = PARSERS[kind](given)
@@ -448,13 +524,6 @@ def _spec_outcome(kind, given):
 )
 def test_spec_repr_and_label_as_recorded(entry):
     assert _spec_outcome(entry["kind"], entry["given"]) == entry["outcome"]
-
-
-# The accuracy contract: 50-digit mpmath references of value/d1/d2/inverse
-# at fixed points for every spec of funclib_specs.json that constructs, with
-# one ulp bound per spec and method.  Written by
-# tests/data/make_funclib_ulps.py; see the README before regenerating it.
-FUNCLIB_ULPS = json.loads((Path(__file__).parent / "data" / "funclib_ulps.json").read_text())
 
 
 @pytest.mark.parametrize(
@@ -479,13 +548,7 @@ def test_within_the_recorded_ulp_bounds(entry):
 def test_the_ulp_table_covers_every_spec():
     """A family or spec added to funclib_specs.json needs its ulp bounds."""
     covered = {(entry["kind"], entry["repr"]) for entry in FUNCLIB_ULPS}
-    built = set()
-    for entry in FUNCLIB_SPECS:
-        try:
-            built.add((entry["kind"], repr(PARSERS[entry["kind"]](entry["given"]))))
-        except RiskPremiaError:
-            continue
-    assert built == covered
+    assert set(_constructed(FUNCLIB_SPECS)) == covered
     for entry in FUNCLIB_ULPS:
         assert {"value", "d1", "inverse"} <= set(entry["methods"]), entry["repr"]
 
