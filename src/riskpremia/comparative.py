@@ -188,9 +188,7 @@ def _side_label(label: str, side: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def check_index_dominance(
-    f2, f1, grid: np.ndarray, *, condition: str = "i", side: str = ""
-) -> ConditionCheck:
+def check_index_dominance(f2, f1, grid: np.ndarray, *, side: str = "") -> ConditionCheck:
     """-f2''/f2' >= -f1''/f1' at every grid point (within slack)."""
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -198,7 +196,7 @@ def check_index_dominance(
     idx2 = -np.asarray(f2.d2(grid)) / np.asarray(f2.d1(grid))
     idx1 = -np.asarray(f1.d2(grid)) / np.asarray(f1.d1(grid))
     return _check_margins(
-        condition,
+        "i",
         _side_label("curvature index dominance", side),
         idx2 - idx1,
         lambda i: _sided(
@@ -252,9 +250,7 @@ def check_premium_dominance_dt(
     )
 
 
-def check_concave_composition(
-    f2, f1, t_grid: np.ndarray, *, condition: str = "iv", side: str = ""
-) -> ConditionCheck:
+def check_concave_composition(f2, f1, t_grid: np.ndarray, *, side: str = "") -> ConditionCheck:
     """Concavity of g(t) = f2(f1^{-1}(t)): symmetric second differences of g
     on the uniform grid must not exceed the slack."""
     t_grid = np.asarray(t_grid, dtype=float)
@@ -263,7 +259,7 @@ def check_concave_composition(
     g = _on_grid(lambda t: f2.value(f1.inverse(t)), [t_grid])
     second = g[:-2] - 2.0 * g[1:-1] + g[2:]
     return _check_margins(
-        condition,
+        "iv",
         _side_label("relative composition concavity", side),
         -second,  # concavity wants second differences <= slack
         lambda i: _sided(side, {"t": float(t_grid[i + 1]), "second_diff": float(second[i])}),
@@ -276,7 +272,7 @@ def _increment_ratios(f, p, q, r, s) -> np.ndarray:
 
 
 def check_cross_ratio(
-    f2, f1, quadruples: Iterable[Quadruple], *, condition: str = "v", side: str = ""
+    f2, f1, quadruples: Iterable[Quadruple], *, side: str = ""
 ) -> ConditionCheck:
     """Increment-ratio dominance: for p < q <= r < s,
     (f2(s)-f2(r))/(f2(q)-f2(p)) <= (f1(s)-f1(r))/(f1(q)-f1(p)).
@@ -301,7 +297,7 @@ def check_cross_ratio(
         return _sided(side, w)
 
     return _check_margins(
-        condition,
+        "v",
         _side_label("cross-ratio dominance", side),
         rhs - lhs,
         witness,
@@ -334,11 +330,11 @@ def _combine(a: ConditionCheck, b: ConditionCheck, label: str) -> ConditionCheck
 # ---------------------------------------------------------------------------
 
 
-def probability_grid(n: int = 401, inset: float = 0.0025) -> np.ndarray:
-    """n interior probabilities, equally spaced in [inset, 1-inset]."""
+def probability_grid(n: int = 401) -> np.ndarray:
+    """n interior probabilities, equally spaced in [0.0025, 0.9975]."""
     if n < 3:
         raise GridError("probability grid needs at least 3 points")
-    return np.linspace(inset, 1.0 - inset, n)
+    return np.linspace(0.0025, 1.0 - 0.0025, n)
 
 
 def dt_scenario_grid() -> list[tuple[float, float]]:
@@ -377,28 +373,17 @@ def utility_x_window(u1: UtilityFn, u2: UtilityFn, pad: float = 0.6) -> tuple[fl
     return (lo + pad, hi - pad)
 
 
-def rdu_scenario_grid(
-    u1: UtilityFn,
-    u2: UtilityFn,
-    eps1_values: Sequence[float] = (0.01, 0.1, 0.5),
-    eps2_values: Sequence[float] = (0.01, 0.05, None),
-) -> list[Scenario]:
+def rdu_scenario_grid(u1: UtilityFn, u2: UtilityFn) -> list[Scenario]:
     """Cross product of three domain-safe wealth levels, nine p0 values,
-    and small/medium/maximal perturbations (None = the maximal eps2)."""
-    pad = max(eps1_values) * 1.2
-    w_lo, w_hi = utility_x_window(u1, u2, pad=pad)
-    x0_values = [w_lo, 0.5 * (w_lo + w_hi), w_hi]
+    eps2 small, medium and maximal (as in dt_scenario_grid), and eps1
+    small, medium and large."""
+    eps1_values = (0.01, 0.1, 0.5)
+    w_lo, w_hi = utility_x_window(u1, u2, pad=max(eps1_values) * 1.2)
     scenarios = []
-    for x0 in x0_values:
-        for i in range(1, 10):
-            p0 = round(0.1 * i, 10)
-            band = min(p0, 1.0 - p0)
-            eps2s = sorted({band if e is None else e for e in eps2_values})
-            for eps2 in eps2s:
-                for eps1 in eps1_values:
-                    scenarios.append(Scenario(x0=x0, p0=p0, eps1=eps1, eps2=eps2))
-    if not scenarios:
-        raise GridError("empty scenario grid")
+    for x0 in (w_lo, 0.5 * (w_lo + w_hi), w_hi):
+        for p0, eps2 in dt_scenario_grid():
+            for eps1 in eps1_values:
+                scenarios.append(Scenario(x0=x0, p0=p0, eps1=eps1, eps2=eps2))
     return scenarios
 
 

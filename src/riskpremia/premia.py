@@ -64,9 +64,6 @@ from .errors import DegenerateError, DomainError, InfeasibleError, RangeError
 from .evalcore import DecisionMaker
 from .funclib import UtilityFn, WeightingFn
 
-# Exact premia must satisfy their defining indifference equation this tightly.
-RESIDUAL_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class Scenario:
