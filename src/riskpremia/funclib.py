@@ -423,18 +423,23 @@ class QuadraticUtility(UtilityFn):
         return 0.0 * x - 2.0 * self.b
 
     @cached_property
-    def _range_end(self) -> tuple[float, float]:
-        """1/(4b) as a double and its rounding error."""
+    def _inverse_constants(self) -> tuple[float, float, float, float]:
+        """1/(4b) as a double and its rounding error, and b = m 4^k exactly
+        as m (1/4 <= |m| < 1) and 2^k."""
         end = 1.0 / (4.0 * self.b)
-        return end, float(1 / (4 * Fraction(self.b)) - Fraction(end))
+        m, e = math.frexp(self.b)
+        k = (e + 1) // 2
+        err = float(1 / (4 * Fraction(self.b)) - Fraction(end))
+        return end, err, math.ldexp(m, e - 2 * k), math.ldexp(1.0, k)
 
     def _inverse(self, t):
         if self.b == 0.0:
             return t
-        # (1 - sqrt(1 - 4bt)) / 2b = t / (1/2 + sqrt(b (1/(4b) - t))) cancels
-        # neither as bt -> 0 nor, with 1/(4b) exact, near the end of the range
-        end, err = self._range_end
-        return t / (0.5 + math.sqrt(abs(self.b)) * np.sqrt(np.abs((end - t) + err)))
+        # (1 - sqrt(1 - 4bt)) / 2b = t / (1/2 + 2^k sqrt(m (1/(4b) - t))):
+        # nothing cancels as bt -> 0 nor, with 1/(4b) exact, near the end of
+        # the range, and |m| < 1 keeps the product under the root finite
+        end, err, m, root = self._inverse_constants
+        return t / (0.5 + root * np.sqrt(m * ((end - t) + err)))
 
 
 # ---------------------------------------------------------------------------
