@@ -76,14 +76,11 @@ class Reference:
 
     def __init__(self, kind: str, f):
         spec = full_spec(f)
-        if kind == "utility":
-            ref = oracle.utility(spec)
-            self.value, self.d1, self.inverse = ref.value, ref.d1, ref.inverse
-        elif kind == "weighting":
-            ref = oracle.weighting(spec)
-            self.value, self.d1, self.inverse = ref.value, ref.d1, ref.inverse
-        else:
+        if kind == "transform":
             self.value, self.d1, self.inverse = oracle._transform(spec)
+        else:
+            ref = (oracle.utility if kind == "utility" else oracle.weighting)(spec)
+            self.value, self.d1, self.inverse = ref.value, ref.d1, ref.inverse
 
     def d2(self, x):
         # a step relative to x keeps tiny probabilities inside the domain;
