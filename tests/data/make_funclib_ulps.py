@@ -11,10 +11,10 @@ Inputs are stored as float hex strings, so the targets stay fixed; a
 reference is a decimal string of REF_DIGITS significant digits.  The
 closed forms come from bench/oracle.py (imported, never changed); d2 is
 mpmath's numerical derivative of the oracle's d1, as oracle.index takes it.
+The tk inverse is solved here by bisection on log p (tk_inverse below).
 
-Points are kept where the reference exists (the oracle's tk root find
-converges) and is a finite normal double, and where the
-library's call neither raises nor leaves the floats (under a raising
+Points are kept where the reference is a finite normal double, and where
+the library's call neither raises nor leaves the floats (under a raising
 np.errstate): over- and underflowing derivatives are a separate matter
 from rounding accuracy.
 
@@ -51,6 +51,9 @@ REF_DIGITS = 25
 MIN_BOUND = 2
 METHODS = ("value", "d1", "d2", "inverse")
 PARSERS = {"utility": parse_utility, "weighting": parse_weighting, "transform": parse_transform}
+# t = log p spans at most |log 5e-324| / 0.28 < 2700, so 200 halvings leave
+# a width below 1e-56: every digit of a reference, at either end of (0, 1)
+TK_BISECTIONS = 200
 
 # distances from a finite end of a utility's domain, in units of 1 and of
 # the end's magnitude; both signs of them around 0 on the whole line
@@ -61,6 +64,30 @@ PROBS = (
     2.0 / 3.0, 0.75, 0.9, 0.99, 1.0 - 1e-3, 1.0 - 1e-6, 1.0 - 1e-9,
     1.0 - 2.0**-40, 1.0 - 2.0**-53,
 )
+
+
+def tk_inverse(self, q):
+    """h^-1(q) of tk by bisection on t = log p, to the working precision.
+
+    Takes the place of bench/oracle.py's tk root find, which stops on an
+    absolute residual of h: below about 1e-20 it returns points whose h is
+    not the target (tk:3.14159265 at 1e-300 gave 1.8e-259, where h is
+    1.4e-813).  log h(p) <= g log p + log 2 for every g, so the excess
+    below is negative at t = (log q - 1) / g, and it is -log q > 0 at t = 0.
+    """
+    g, log_q = self.gamma, MP.log(q)
+
+    def excess(t):  # log h(e^t) - log q, increasing in t
+        return g * t - MP.log(MP.exp(g * t) + (1 - MP.exp(t)) ** g) / g - log_q
+
+    lo, hi = (log_q - 1) / g, MP.zero
+    for _ in range(TK_BISECTIONS):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if excess(mid) < 0 else (lo, mid)
+    return MP.exp((lo + hi) / 2)
+
+
+oracle.Weighting._tk_inverse = tk_inverse
 
 
 def full_spec(f) -> str:
@@ -90,16 +117,13 @@ class Reference:
         return d2 if abs(d2) * h > MP.mpf(10) ** -40 * abs(self.d1(x)) else MP.zero
 
     def __call__(self, method: str, x: float):
-        """The reference at x, or None where mpmath's root find fails."""
+        """The reference at x."""
         with MP.workdps(60):
-            try:
-                return getattr(self, method)(MP.mpf(x))
-            except ValueError:
-                return None
+            return getattr(self, method)(MP.mpf(x))
 
 
 def _not_normal(ref) -> bool:
-    return ref is None or ref == 0 or not (
+    return ref == 0 or not (
         MP.isfinite(ref) and MP.mpf(sys.float_info.min) <= abs(ref) < MP.mpf(sys.float_info.max)
     )
 
