@@ -56,7 +56,7 @@ from .funclib import (
     parse_utility,
     parse_weighting,
 )
-from .numerics import RootSpec, convergence_order, find_root, find_roots
+from .numerics import RootSpec, convergence_order, find_root
 from .premia import (
     PremiumPair,
     PremiumReport,

@@ -21,10 +21,10 @@ Each condition is evaluated in one array pass per agent: the premium
 conditions (ii)/(iii) solve every scenario of the grid at once through
 the array kernels of premia, and only the reported witness is built as
 a dict; condition (iv) inverts the whole grid of a weighting or a
-utility in one array inverse() call (tk: one lockstep root find).  The
-numbers are those of the per-point scalar kernels, bit for bit; a grid
-with a bad point raises what the scalar kernels raise at the first such
-point.
+utility in one array inverse() call (tk: one elementwise Newton
+iteration).  The numbers are those of the per-point scalar kernels, bit
+for bit; a grid with a bad point raises what the scalar kernels raise at
+the first such point.
 
 Ties within the comparison slack are reported as holding marginally
 rather than failing, since strict-inequality boundary cases are

@@ -17,9 +17,10 @@ Conventions:
 - A closed-form inverse is one numpy formula for a float or an array, so
   a target has the same bits in every shape (** on a float would run
   scalar math; np.float_power runs the C library's pow, np.power may run
-  a less accurate SIMD one).  tk solves one target with find_root, more
-  with one lockstep find_roots.  tests/data/funclib_ulps.json bounds the
-  error of every method of every spec, in ulps of an mpmath reference.
+  a less accurate SIMD one).  tk, which has no closed form, is inverted
+  by one Newton iteration that acts elementwise in the same way.
+  tests/data/funclib_ulps.json bounds the error of every method of every
+  spec, in ulps of an mpmath reference.
 - A ConcaveTransform T is a strictly concave weighting; concavify(h, T)
   builds the composition T(h(p)) with chain-rule derivatives.  Composing
   with any valid T raises the curvature index -h''/h' everywhere.
@@ -49,12 +50,12 @@ import numpy as np
 from .errors import (
     ConcavityError,
     DomainError,
+    MaxIterError,
     MonotonicityError,
     ParseError,
     RangeError,
     RiskPremiaError,
 )
-from .numerics import RootSpec, find_root, find_roots
 
 # Interior probability grid used for construction-time monotonicity checks.
 # Inset of 1e-4 keeps clear of endpoint derivative blowup (prelec).
@@ -67,13 +68,6 @@ FunctionSpec = Union[str, Mapping]
 
 def _fmt(x: float) -> str:
     return f"{x:g}"
-
-
-def _as_array(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("non-finite argument")
-    return arr
 
 
 def _scalar_or_array(out: np.ndarray, like: np.ndarray):
@@ -133,10 +127,14 @@ class _MonotoneFn:
         raise NotImplementedError
 
     def _check_domain(self, x, closed: bool = False) -> np.ndarray:
-        arr = _as_array(x)
+        # every domain is open or [0, 1], so the bounds test also rejects
+        # NaN and +-inf, and finiteness is checked only to name the error
+        arr = np.asarray(x, dtype=float)
         lo, hi = self.domain
         ok = (arr >= lo) & (arr <= hi) if closed else (arr > lo) & (arr < hi)
-        if not bool(np.all(ok)):
+        if not ok.all():
+            if not np.isfinite(arr).all():
+                raise DomainError("non-finite argument")
             raise self._outside_domain(closed)
         return arr
 
@@ -395,6 +393,8 @@ class QuadraticUtility(UtilityFn):
     def __post_init__(self):
         if not math.isfinite(self.b):
             raise MonotonicityError("quadratic requires finite b")
+        if self.b != 0.0 and math.isinf(1.0 / (4.0 * self.b)):
+            raise MonotonicityError(f"quadratic requires a finite 1/(4b) (got b={self.b:g})")
         self._check_increasing()
 
     @property
@@ -417,13 +417,18 @@ class QuadraticUtility(UtilityFn):
         return x - self.b * x * x
 
     def _d1(self, x):
-        return 1.0 - 2.0 * self.b * x
+        if self.b == 0.0:
+            return 0.0 * x + 1.0
+        # 1 - 2bx = 4b (1/(4b) - x/2): with 1/(4b) exact, nothing cancels
+        # near the end of the domain
+        end, err, _, _ = self._end_constants
+        return 4.0 * self.b * ((end - 0.5 * x) + err)
 
     def _d2(self, x):
         return 0.0 * x - 2.0 * self.b
 
     @cached_property
-    def _inverse_constants(self) -> tuple[float, float, float, float]:
+    def _end_constants(self) -> tuple[float, float, float, float]:
         """1/(4b) as a double and its rounding error, and b = m 4^k exactly
         as m (1/4 <= |m| < 1) and 2^k."""
         end = 1.0 / (4.0 * self.b)
@@ -438,7 +443,7 @@ class QuadraticUtility(UtilityFn):
         # (1 - sqrt(1 - 4bt)) / 2b = t / (1/2 + 2^k sqrt(m (1/(4b) - t))):
         # nothing cancels as bt -> 0 nor, with 1/(4b) exact, near the end of
         # the range, and |m| < 1 keeps the product under the root finite
-        end, err, m, root = self._inverse_constants
+        end, err, m, root = self._end_constants
         return t / (0.5 + root * np.sqrt(m * ((end - t) + err)))
 
 
@@ -567,6 +572,10 @@ class PrelecWeighting(WeightingFn):
 
 # Below this curvature the Tversky-Kahneman form loses monotonicity on (0, 1).
 TK_MIN_GAMMA = 0.28
+# The tk inverse took at most 19 Newton steps over gamma in [0.28, 5] and
+# targets from 5e-324 to 1 - 2^-53; the cap only stops a runaway iteration.
+_TK_MAX_ITER = 64
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -575,8 +584,8 @@ class TkWeighting(WeightingFn):
 
     Rejected for g < 0.28: monotonicity fails below that threshold, which
     would break the h' > 0 contract every other operation relies on.  No
-    closed-form inverse; inversion is a bracketed root find, one lockstep
-    find for a whole array of targets.
+    closed-form inverse; inversion is a safeguarded Newton iteration that
+    acts elementwise, so a target has the same bits in every shape.
     """
 
     gamma: float
@@ -616,21 +625,49 @@ class TkWeighting(WeightingFn):
         return g / p - sp / (g * s)
 
     def _inverse(self, q):
-        # Every iterate lies in the bracket, where _value needs no validation
-        # and is exact at the endpoints.  find_root (~0.1 ms) and find_roots
-        # (~0.6 ms on one target) take the same steps; the scalar objective
-        # runs _value on a one-element array, as value() does.
-        if isinstance(q, float):
-            return find_root(RootSpec(
-                objective=lambda p: float(self._value(np.array([p]))[0]) - q,
-                bracket=(0.0, 1.0),
-                tol=1e-14,
-            ))
-        return find_roots(
-            lambda p, active: self._value(p) - q[active],
-            np.zeros(q.size),
-            np.ones(q.size),
-            tol=1e-14,
+        # Newton on r = log(h(p)/q), stepping in log p below 1/2 and in
+        # log(1 - p) above, so relative accuracy holds at both ends.  Each
+        # iterate shrinks the bracket (lo, hi) around the root, and a step
+        # that leaves it is replaced by its midpoint.  An element stops when
+        # its step is within 2 ulps, its residual is 0 or its bracket has no
+        # double inside; it then keeps its bits while the others go on.
+        g = self.gamma
+        shape, q = np.shape(q), np.array(q, dtype=float, ndmin=1)
+        with np.errstate(all="ignore"):
+            # h(p) ~ p^g near 0; a seed of 0 is a preimage below 5e-324
+            p = np.where(q < 0.5, np.minimum(np.float_power(q, 1.0 / g), q), q)
+            lo, hi = np.zeros_like(p), np.ones_like(p)
+            done = p == 0.0
+            q_tiny = q < _TINY
+            for _ in range(_TK_MAX_ITER):
+                u = 1.0 - p
+                pg, ug = p**g, u**g
+                s = pg + ug
+                h = pg * s ** (-1.0 / g)
+                r = np.log(h / q)
+                # a subnormal h or q has too few bits for the ratio
+                tiny = (h < _TINY) | q_tiny
+                if tiny.any():
+                    r = np.where(tiny, g * np.log(p) - np.log(s) / g - np.log(q), r)
+                below = r < 0.0
+                lo, hi = np.where(below, p, lo), np.where(below, hi, p)
+                # d log h / d log p (_logd1's g/p overflows at a subnormal p);
+                # the step is -r / slope in log p, and in log(1 - p), whose
+                # slope is -(1 - p)/p times this one, r p / ((1 - p) slope)
+                slope = g - (pg - p * ug / u) / s
+                upper = p > 0.5
+                step = np.where(upper, u, p) * np.exp(r / np.where(upper, u / p, -1.0) / slope)
+                new = np.where(upper, 1.0 - step, step)
+                close = np.abs(new - p) <= 2.0 * np.spacing(p)
+                mid = 0.5 * (lo + hi)
+                stop = (r == 0.0) | (mid <= lo) | (mid >= hi)
+                new = np.where(close | ((lo < new) & (new < hi)), new, mid)
+                p = np.where(done | (stop & ~close), p, new)
+                done |= close | stop
+                if done.all():
+                    return p.reshape(shape)
+        raise MaxIterError(
+            f"tk inverse did not converge within {_TK_MAX_ITER} iterations for {self.spec}"
         )
 
 

@@ -41,9 +41,9 @@ _lambda, _sigma, _mu) that solve a whole grid of scenarios in one pass;
 the public scalar kernels run them on a one-point grid.  Forward values
 go through the array path of value().  A grid is inverted in one
 inverse() call, utilities and weightings alike: one numpy formula for a
-closed form, one lockstep root find for tk.  A one-point grid runs the
-same formula without masks (tk: find_root), so an inverse, and with it
-a premium, has the same bits at every grid size.
+closed form, one elementwise Newton iteration for tk.  A one-point grid
+runs the same arithmetic without masks, so an inverse, and with it a
+premium, has the same bits at every grid size.
 
 PREMIA lists the six premia once, in report order (pi, gamma, rho,
 lambda, sigma, mu): for each, its exact and approximate kernel on a

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +126,13 @@ class TestUtilityFamilies:
         assert u.d1(0.0) == 1.0
         assert math.isclose(u.inverse(u.value(3.0)), 3.0, rel_tol=1e-12)
 
+    @pytest.mark.parametrize("b, x", [(1e-5, 49999.999999999), (-1e-5, -49999.999999999)])
+    def test_quadratic_d1_keeps_its_digits_near_the_end_of_the_domain(self, b, x):
+        # 1 - 2bx cancels as x nears 1/(2b); the reference is exact in the
+        # doubles b and x
+        exact = 1 - 2 * Fraction(b) * Fraction(x)
+        assert ulp_error(QuadraticUtility(b=b).d1(x), str(exact)) <= 1
+
     def test_crra_values(self):
         u = CrraUtility(eta=2.0)
         assert u.value(2.0) == -0.5
@@ -246,6 +254,16 @@ class TestWeightingFamilies:
                 h.d1(bad)
             with pytest.raises(DomainError):
                 h.d2(bad)
+
+    @pytest.mark.parametrize(
+        "q, want",
+        [(1e-10, "4.041637674086274740515579e-17"), (1e-14, "1.119902793272503740973029e-23")],
+    )
+    def test_tk_inverse_of_a_tiny_target(self, q, want):
+        # a root find to an absolute residual of 1e-14 missed these by 100%
+        h = TkWeighting(gamma=0.61)
+        assert ulp_error(h.inverse(q), want) <= 2
+        assert h.value(h.inverse(q)) == q
 
     def test_tk_monotonicity_gate(self):
         with pytest.raises(MonotonicityError):
@@ -474,6 +492,28 @@ class TestArrayInverse:
                 f.inverse(arg)
             assert str(info.value) == message
 
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        st.floats(0.28, 5.0),
+        st.lists(
+            st.floats(5e-324, 1.0 - 2.0**-53)
+            | st.sampled_from([5e-324, 1e-320, 2.0**-1022, 1e-300, 0.5, 1.0 - 2.0**-53]),
+            min_size=2,
+            max_size=12,
+        ),
+    )
+    def test_tk_inverse_is_elementwise_and_silent(self, gamma, targets):
+        """The Newton iteration gives a target the same bits as a float, as
+        a one-element array and among other targets, and none of its
+        arithmetic reaches the caller's error state."""
+        h = TkWeighting(gamma=gamma)
+        with np.errstate(all="raise"):
+            want = [h.inverse(t).hex() for t in targets]
+            ones = [float(h.inverse(np.array([t]))[0]).hex() for t in targets]
+            many = h.inverse(np.array(targets)).tolist()
+        assert ones == want
+        assert [v.hex() for v in many] == want
+
     def test_input_not_modified(self):
         q = np.array([0.0, 0.3, 1.0])
         TkWeighting(gamma=0.61).inverse(q)
@@ -543,6 +583,20 @@ def test_within_the_recorded_ulp_bounds(entry):
         if worst > body["bound"]:
             over[method] = (worst, body["bound"])
     assert not over
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [entry for entry in FUNCLIB_ULPS if entry["repr"].startswith("TkWeighting(")],
+    ids=lambda entry: entry["given"],
+)
+def test_tk_inverse_within_16_ulps(entry):
+    """The tk inverse's own bound, far below the table's: the parent the
+    table was recorded on returned 0 for targets below 1e-14."""
+    h = parse_weighting(entry["given"])
+    points = entry["methods"]["inverse"]["points"]
+    got = h.inverse(np.array([float.fromhex(t) for t, _ in points])).tolist()
+    assert max(ulp_error(v, want) for v, (_, want) in zip(got, points)) <= 16
 
 
 def test_the_ulp_table_covers_every_spec():
