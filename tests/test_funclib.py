@@ -17,6 +17,7 @@ from riskpremia import (
     IdentityWeighting,
     LinearUtility,
     LogUtility,
+    MaxIterError,
     MonotonicityError,
     ParseError,
     PowerTransform,
@@ -29,6 +30,7 @@ from riskpremia import (
     UtilityFn,
     WeightingFn,
     concavify,
+    funclib,
     parse_transform,
     parse_utility,
     parse_weighting,
@@ -518,6 +520,20 @@ class TestArrayInverse:
         q = np.array([0.0, 0.3, 1.0])
         TkWeighting(gamma=0.61).inverse(q)
         assert q.tolist() == [0.0, 0.3, 1.0]
+
+    def test_tk_inverse_of_no_targets(self):
+        out = TkWeighting(gamma=0.61).inverse(np.array([]))
+        assert out.shape == (0,) and out.dtype == np.float64
+
+    def test_tk_inverse_iteration_cap_names_the_spec(self, monkeypatch):
+        # 0.3 needs more than one Newton step; the endpoints need none
+        h = TkWeighting(gamma=0.61)
+        monkeypatch.setattr(funclib, "_TK_MAX_ITER", 1)
+        message = "^tk inverse did not converge within 1 iterations for tk:0.61$"
+        for arg in (0.3, np.array([0.0, 0.3, 1.0])):
+            with pytest.raises(MaxIterError, match=message):
+                h.inverse(arg)
+        assert h.inverse(np.array([0.0, 1.0])).tolist() == [0.0, 1.0]
 
 
 # The type and message of every domain and range error of utilities and
